@@ -4,6 +4,17 @@
 
 namespace bulksc {
 
+namespace {
+
+/** One valid line's term of the fingerprint sum. */
+std::uint64_t
+lineDigest(LineAddr line, LineState state)
+{
+    return mix64(line * 4 + static_cast<std::uint64_t>(state));
+}
+
+} // namespace
+
 CacheArray::CacheArray(const CacheGeometry &g)
     : geom(g)
 {
@@ -23,7 +34,7 @@ CacheArray::findWay(LineAddr line)
     return nullptr;
 }
 
-CacheLine *
+const CacheLine *
 CacheArray::lookup(LineAddr line)
 {
     CacheLine *entry = findWay(line);
@@ -48,7 +59,7 @@ CacheArray::peek(LineAddr line) const
     return nullptr;
 }
 
-CacheLine *
+const CacheLine *
 CacheArray::insert(LineAddr line, LineState state,
                    const VictimFilter &filter,
                    std::optional<Victim> &victim)
@@ -101,8 +112,7 @@ CacheArray::insert(LineAddr line, LineState state,
         target = lru;
     }
 
-    target->line = line;
-    target->state = state;
+    assign(*target, line, state);
     target->lruStamp = ++lruCounter;
     return target;
 }
@@ -114,8 +124,27 @@ CacheArray::invalidate(LineAddr line)
     if (!entry)
         return LineState::Invalid;
     LineState prev = entry->state;
-    entry->state = LineState::Invalid;
+    assign(*entry, line, LineState::Invalid);
     return prev;
+}
+
+void
+CacheArray::setState(LineAddr line, LineState state)
+{
+    if (CacheLine *entry = findWay(line))
+        assign(*entry, line, state);
+}
+
+void
+CacheArray::assign(CacheLine &l, LineAddr line, LineState state)
+{
+    // Commutative sum, so way placement within a set is irrelevant.
+    if (l.valid())
+        digest -= lineDigest(l.line, l.state);
+    l.line = line;
+    l.state = state;
+    if (l.valid())
+        digest += lineDigest(l.line, l.state);
 }
 
 unsigned
@@ -133,9 +162,10 @@ CacheArray::countVetoed(LineAddr line, const VictimFilter &filter) const
 
 void
 CacheArray::forEachInSet(std::uint32_t set_idx,
-                         const std::function<void(CacheLine &)> &fn)
+                         const std::function<void(const CacheLine &)> &fn)
+    const
 {
-    CacheLine *base = &lines[std::size_t{set_idx} * geom.assoc];
+    const CacheLine *base = &lines[std::size_t{set_idx} * geom.assoc];
     for (unsigned w = 0; w < geom.assoc; ++w) {
         if (base[w].valid())
             fn(base[w]);
@@ -143,25 +173,12 @@ CacheArray::forEachInSet(std::uint32_t set_idx,
 }
 
 void
-CacheArray::forEach(const std::function<void(CacheLine &)> &fn)
+CacheArray::forEach(const std::function<void(const CacheLine &)> &fn) const
 {
-    for (auto &l : lines) {
+    for (const auto &l : lines) {
         if (l.valid())
             fn(l);
     }
-}
-
-std::uint64_t
-CacheArray::fingerprint() const
-{
-    // Commutative fold so way placement within a set is irrelevant.
-    std::uint64_t h = 0;
-    for (const CacheLine &l : lines) {
-        if (!l.valid())
-            continue;
-        h += mix64(l.line * 4 + static_cast<std::uint64_t>(l.state));
-    }
-    return h;
 }
 
 } // namespace bulksc

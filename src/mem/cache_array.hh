@@ -47,7 +47,13 @@ struct Victim
     bool dirty;
 };
 
-/** Generic set-associative cache tag array. */
+/**
+ * Generic set-associative cache tag array.
+ *
+ * Every coherence-state change goes through insert(), invalidate() or
+ * setState(), which keep the running fingerprint() digest current;
+ * callers only ever see const lines.
+ */
 class CacheArray
 {
   public:
@@ -57,7 +63,7 @@ class CacheArray
     explicit CacheArray(const CacheGeometry &geom);
 
     /** Look up @p line, updating LRU on hit. @return entry or nullptr. */
-    CacheLine *lookup(LineAddr line);
+    const CacheLine *lookup(LineAddr line);
 
     /** Look up @p line without touching LRU state. */
     const CacheLine *peek(LineAddr line) const;
@@ -70,12 +76,16 @@ class CacheArray
      * @return the inserted entry, or nullptr if every candidate way was
      *         vetoed by the filter (the caller must handle bypass).
      */
-    CacheLine *insert(LineAddr line, LineState state,
-                      const VictimFilter &filter,
-                      std::optional<Victim> &victim);
+    const CacheLine *insert(LineAddr line, LineState state,
+                            const VictimFilter &filter,
+                            std::optional<Victim> &victim);
 
     /** Invalidate @p line if present. @return its state beforehand. */
     LineState invalidate(LineAddr line);
+
+    /** Change the state of @p line, if present, without touching LRU
+     *  state (owner downgrades, speculative stores). */
+    void setState(LineAddr line, LineState state);
 
     /**
      * Number of ways of @p line's set currently vetoed by @p filter.
@@ -85,10 +95,11 @@ class CacheArray
 
     /** Apply @p fn to every valid line of set @p set_idx. */
     void forEachInSet(std::uint32_t set_idx,
-                      const std::function<void(CacheLine &)> &fn);
+                      const std::function<void(const CacheLine &)> &fn)
+        const;
 
     /** Apply @p fn to every valid line in the array. */
-    void forEach(const std::function<void(CacheLine &)> &fn);
+    void forEach(const std::function<void(const CacheLine &)> &fn) const;
 
     const CacheGeometry &geometry() const { return geom; }
 
@@ -96,22 +107,27 @@ class CacheArray
     std::uint64_t misses() const { return nMisses; }
 
     /**
-     * Order-insensitive digest of the coherence-visible contents
-     * (valid lines and their states). LRU stamps and hit/miss
-     * counters are deliberately excluded: they are performance
-     * bookkeeping, and folding them in would make every explorer
-     * fingerprint unique, defeating revisit pruning.
+     * Order-insensitive digest of the coherence-visible contents: a
+     * sum of one term per valid line (tag and state), kept current by
+     * every state change so reading it is O(1). LRU stamps and
+     * hit/miss counters are deliberately excluded: they are
+     * performance bookkeeping, and folding them in would make every
+     * explorer fingerprint unique, defeating revisit pruning.
      */
-    std::uint64_t fingerprint() const;
+    std::uint64_t fingerprint() const { return digest; }
 
   private:
     CacheLine *findWay(LineAddr line);
+
+    /** Overwrite @p l's tag and state, moving its fingerprint term. */
+    void assign(CacheLine &l, LineAddr line, LineState state);
 
     CacheGeometry geom;
     std::vector<CacheLine> lines;
     std::uint64_t lruCounter = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
+    std::uint64_t digest = 0;
 };
 
 } // namespace bulksc

@@ -18,11 +18,12 @@ Directory::bucketOf(LineAddr line) const
     return static_cast<std::uint32_t>(line) & (sigCfg.bitsPerBank() - 1);
 }
 
-void
-Directory::eraseEntry(LineAddr line)
+std::uint64_t
+Directory::entryDigest(LineAddr line, const DirEntry &e)
 {
-    entries.erase(line);
-    buckets[bucketOf(line)].erase(line);
+    std::uint64_t v = mix64(line);
+    v = mix64(v ^ e.sharers);
+    return mix64(v ^ (std::uint64_t{e.dirty} << 32) ^ e.owner);
 }
 
 DirEntry &
@@ -45,7 +46,9 @@ Directory::getOrCreate(LineAddr line,
             displaced.push_back(DirDisplacement{
                 victim, vit->second.sharers, vit->second.dirty,
                 vit->second.owner});
-            eraseEntry(victim);
+            digest -= entryDigest(victim, vit->second);
+            entries.erase(vit);
+            buckets[bucketOf(victim)].erase(victim);
             break;
         }
         if (fifoHead > 4096 && fifoHead * 2 > fifo.size()) {
@@ -56,19 +59,20 @@ Directory::getOrCreate(LineAddr line,
     }
 
     DirEntry &e = entries[line];
+    digest += entryDigest(line, e);
     buckets[bucketOf(line)].insert(line);
     if (maxEntries)
         fifo.push_back(line);
     return e;
 }
 
-DirEntry &
+void
 Directory::recordRead(LineAddr line, ProcId p,
                       std::vector<DirDisplacement> &displaced)
 {
     DirEntry &e = getOrCreate(line, displaced);
-    e.addSharer(p);
-    return e;
+    if (!e.isSharer(p))
+        update(line, e, [p](DirEntry &d) { d.addSharer(p); });
 }
 
 std::uint32_t
@@ -77,9 +81,11 @@ Directory::recordReadEx(LineAddr line, ProcId p,
 {
     DirEntry &e = getOrCreate(line, displaced);
     std::uint32_t to_inval = e.sharers & ~(1u << p);
-    e.sharers = 1u << p;
-    e.dirty = true;
-    e.owner = p;
+    update(line, e, [p](DirEntry &d) {
+        d.sharers = 1u << p;
+        d.dirty = true;
+        d.owner = p;
+    });
     return to_inval;
 }
 
@@ -91,7 +97,7 @@ Directory::recordWriteback(LineAddr line, ProcId p)
         return;
     DirEntry &e = it->second;
     if (e.dirty && e.owner == p)
-        e.dirty = false;
+        update(line, e, [](DirEntry &d) { d.dirty = false; });
 }
 
 void
@@ -100,10 +106,11 @@ Directory::dropSharer(LineAddr line, ProcId p)
     auto it = entries.find(line);
     if (it == entries.end())
         return;
-    DirEntry &e = it->second;
-    e.sharers &= ~(1u << p);
-    if (e.dirty && e.owner == p)
-        e.dirty = false;
+    update(line, it->second, [p](DirEntry &e) {
+        e.sharers &= ~(1u << p);
+        if (e.dirty && e.owner == p)
+            e.dirty = false;
+    });
 }
 
 ExpansionResult
@@ -145,9 +152,11 @@ Directory::expand(const Signature &w, ProcId committer)
             // Case 2: committing processor becomes the owner; all other
             // sharers join the Invalidation List.
             res.invalidationList |= e.sharers & ~(1u << committer);
-            e.sharers = 1u << committer;
-            e.dirty = true;
-            e.owner = committer;
+            update(line, e, [committer](DirEntry &d) {
+                d.sharers = 1u << committer;
+                d.dirty = true;
+                d.owner = committer;
+            });
             ++res.updates;
             if (!truly_written)
                 ++res.aliasUpdates;
@@ -170,20 +179,6 @@ Directory::peek(LineAddr line) const
 {
     auto it = entries.find(line);
     return it == entries.end() ? nullptr : &it->second;
-}
-
-std::uint64_t
-Directory::fingerprint() const
-{
-    // Commutative fold over the unordered entry map.
-    std::uint64_t h = 0;
-    for (const auto &[line, e] : entries) {
-        std::uint64_t v = mix64(line);
-        v = mix64(v ^ e.sharers);
-        v = mix64(v ^ (std::uint64_t{e.dirty} << 32) ^ e.owner);
-        h += v;
-    }
-    return h;
 }
 
 } // namespace bulksc

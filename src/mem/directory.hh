@@ -101,10 +101,9 @@ class Directory
      * a directory-cache entry.
      *
      * @param[out] displaced Filled with the displaced entry, if any.
-     * @return the entry for @p line.
      */
-    DirEntry &recordRead(LineAddr line, ProcId p,
-                         std::vector<DirDisplacement> &displaced);
+    void recordRead(LineAddr line, ProcId p,
+                    std::vector<DirDisplacement> &displaced);
 
     /**
      * Record an exclusive (ReadEx) access by @p p: used by the SC/RC/
@@ -134,14 +133,28 @@ class Directory
     std::size_t entryCount() const { return entries.size(); }
 
     /** Order-insensitive digest of the directory state (per-line
-     *  sharer vectors and dirty/owner), for explorer fingerprints. */
-    std::uint64_t fingerprint() const;
+     *  sharer vectors and dirty/owner), for explorer fingerprints.
+     *  A running sum that every entry change keeps current, so
+     *  reading it is O(1). */
+    std::uint64_t fingerprint() const { return digest; }
 
   private:
+    /** One entry's term of the fingerprint() sum. */
+    static std::uint64_t entryDigest(LineAddr line, const DirEntry &e);
+
+    /** Apply @p change to @p line's entry @p e, moving its term of the
+     *  digest. Every mutation of an existing entry goes through here. */
+    template <typename Fn>
+    void
+    update(LineAddr line, DirEntry &e, Fn &&change)
+    {
+        digest -= entryDigest(line, e);
+        change(e);
+        digest += entryDigest(line, e);
+    }
+
     DirEntry &getOrCreate(LineAddr line,
                           std::vector<DirDisplacement> &displaced);
-
-    void eraseEntry(LineAddr line);
 
     std::uint32_t bucketOf(LineAddr line) const;
 
@@ -150,6 +163,7 @@ class Directory
     std::size_t maxEntries;
 
     std::unordered_map<LineAddr, DirEntry> entries;
+    std::uint64_t digest = 0; //!< see fingerprint()
 
     /** Lines bucketed by signature bank-0 index: the hardware analogue
      *  is the delta-decode directed tag probe of signature expansion. */

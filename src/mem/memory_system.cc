@@ -86,7 +86,7 @@ MemorySystem::access(ProcId p, Addr addr, MemCmd cmd, AccessCallback cb)
     LineAddr line = lineOf(addr, prm.l1.lineBytes);
     L1 &c = l1s[p];
 
-    CacheLine *e = c.array.lookup(line);
+    const CacheLine *e = c.array.lookup(line);
     if (e && (!wantsOwnership(cmd) || e->state == LineState::Dirty))
         return prm.l1Latency;
 
@@ -232,7 +232,7 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
         } else if (requester_had_copy) {
             lat = 1; // upgrade: no data transfer needed
         } else {
-            CacheLine *l2e = l2.lookup(line);
+            const CacheLine *l2e = l2.lookup(line);
             if (l2e) {
                 lat = prm.l2Latency;
             } else {
@@ -253,9 +253,9 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
             // Downgrade the owner; its data is written back to the L2
             // and forwarded to the requester.
             ProcId owner = pe->owner;
-            CacheLine *oe = l1s[owner].array.lookup(line);
+            const CacheLine *oe = l1s[owner].array.lookup(line);
             if (oe && oe->state == LineState::Dirty)
-                oe->state = LineState::Shared;
+                l1s[owner].array.setState(line, LineState::Shared);
             std::optional<Victim> vic;
             l2.insert(line, LineState::Dirty, nullptr, vic);
             if (vic && vic->dirty)
@@ -265,7 +265,7 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
                      256, [] {}, lineFp(line));
             lat = prm.l2Latency + 2 * net.latencyFor(256);
         } else {
-            CacheLine *l2e = l2.lookup(line);
+            const CacheLine *l2e = l2.lookup(line);
             if (l2e) {
                 lat = prm.l2Latency;
             } else {
@@ -310,7 +310,7 @@ MemorySystem::finishFill(ProcId p, LineAddr line, MemCmd cmd)
     }
 
     std::optional<Victim> vic;
-    CacheLine *ins = nullptr;
+    const CacheLine *ins = nullptr;
     if (!drop) {
         ins = c.array.insert(line, st, filterFor(p), vic);
         if (!ins)
@@ -417,7 +417,7 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
 
     std::vector<LineAddr> victims;
     for (std::uint32_t set : sets) {
-        c.array.forEachInSet(set, [&](CacheLine &l) {
+        c.array.forEachInSet(set, [&](const CacheLine &l) {
             if (w.contains(l.line))
                 victims.push_back(l.line);
         });
@@ -692,9 +692,8 @@ MemorySystem::l1Contains(ProcId p, LineAddr line,
 void
 MemorySystem::markDirty(ProcId p, LineAddr line)
 {
-    CacheLine *e = l1s[p].array.lookup(line);
-    if (e)
-        e->state = LineState::Dirty;
+    if (l1s[p].array.lookup(line))
+        l1s[p].array.setState(line, LineState::Dirty);
 }
 
 LineState
@@ -716,7 +715,7 @@ void
 MemorySystem::restoreLine(ProcId p, LineAddr line)
 {
     std::optional<Victim> vic;
-    CacheLine *ins =
+    const CacheLine *ins =
         l1s[p].array.insert(line, LineState::Dirty, filterFor(p), vic);
     if (!ins) {
         // No insertable way: keep the restored data safe in the L2.
@@ -773,7 +772,13 @@ MemorySystem::readValue(Addr addr) const
 void
 MemorySystem::writeValue(Addr addr, std::uint64_t v)
 {
-    values[addr] = v;
+    // Commutative sum over the store: swap this address's term.
+    auto [it, fresh] = values.try_emplace(addr, v);
+    if (!fresh) {
+        valueDigest -= mix64(mix64(addr) ^ it->second);
+        it->second = v;
+    }
+    valueDigest += mix64(mix64(addr) ^ v);
 }
 
 std::uint64_t
@@ -853,10 +858,7 @@ MemorySystem::fingerprint() const
         c = mix64(c);
     }
     h = mix64(h ^ c);
-    std::uint64_t v = 0;
-    for (const auto &[addr, val] : values)
-        v += mix64(mix64(addr) ^ val);
-    return mix64(h ^ v);
+    return mix64(h ^ valueDigest);
 }
 
 } // namespace bulksc

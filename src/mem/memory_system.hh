@@ -251,8 +251,14 @@ class MemorySystem : public SimObject
      * signatures, and the committed value store. Performance counters
      * and timing state are excluded (see CacheArray::fingerprint).
      * Feeds System::stateFingerprint() for explorer revisit pruning.
+     * The caches, directories and value store keep running digests,
+     * so the cost does not grow with their size.
      */
     std::uint64_t fingerprint() const;
+
+    /** Order-insensitive digest of the committed value store, kept up
+     *  to date by writeValue(); one term of fingerprint(). */
+    std::uint64_t valueFingerprint() const { return valueDigest; }
 
     // --- aggregate stats, exposed for benches/tests ---
     std::uint64_t l1Hits() const;
@@ -350,6 +356,7 @@ class MemorySystem : public SimObject
     std::vector<std::vector<std::shared_ptr<Signature>>> committingSigs;
 
     std::unordered_map<Addr, std::uint64_t> values;
+    std::uint64_t valueDigest = 0; //!< see valueFingerprint()
 
     // stats
     std::uint64_t nBounced = 0;

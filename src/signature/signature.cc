@@ -15,6 +15,10 @@ Signature::Signature(const SignatureConfig &c)
              "totalBits must be divisible by numBanks");
     panic_if(!isPowerOf2(cfg.bitsPerBank()),
              "bits per bank must be a power of two");
+    panic_if(cfg.numBanks >= 3 &&
+                 cfg.bitsPerBank() < SignatureConfig::kMinFoldedBankBits,
+             "3 or more banks need at least ",
+             SignatureConfig::kMinFoldedBankBits, " bits per bank");
     wordsPerBank = (cfg.bitsPerBank() + 63) / 64;
     bits.assign(std::size_t{cfg.numBanks} * wordsPerBank, 0);
 
@@ -78,6 +82,7 @@ Signature::insert(LineAddr line)
 {
     if (tracksExact())
         exactSet.insert(line);
+    cachedHash.reset();
     for (unsigned b = 0; b < cfg.numBanks; ++b) {
         std::uint32_t idx = bankIndex(b, line);
         bits[std::size_t{b} * wordsPerBank + idx / 64] |=
@@ -182,6 +187,7 @@ Signature::unionWith(const Signature &other)
              "uniting signatures of different geometry");
     for (std::size_t i = 0; i < bits.size(); ++i)
         bits[i] |= other.bits[i];
+    cachedHash.reset();
     exactSet.insert(other.exactSet.begin(), other.exactSet.end());
 }
 
@@ -190,6 +196,7 @@ Signature::clear()
 {
     std::fill(bits.begin(), bits.end(), 0);
     exactSet.clear();
+    cachedHash.reset();
 }
 
 std::vector<std::uint32_t>
@@ -217,6 +224,7 @@ Signature::bitSet(unsigned bank, std::uint32_t idx) const
 void
 Signature::setBit(unsigned bank, std::uint32_t idx)
 {
+    cachedHash.reset();
     bits[std::size_t{bank} * wordsPerBank + idx / 64] |=
         std::uint64_t{1} << (idx % 64);
 }
@@ -233,10 +241,13 @@ Signature::popCount() const
 std::uint64_t
 Signature::hash() const
 {
-    std::uint64_t h = 0x5349'47'42'4cULL; // "SIGBL"
-    for (std::uint64_t w : bits)
-        h = mix64(h ^ w);
-    return h;
+    if (!cachedHash) {
+        std::uint64_t h = 0x5349'47'42'4cULL; // "SIGBL"
+        for (std::uint64_t w : bits)
+            h = mix64(h ^ w);
+        cachedHash = h;
+    }
+    return *cachedHash;
 }
 
 unsigned

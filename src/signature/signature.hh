@@ -23,6 +23,7 @@
 #define BULKSC_SIGNATURE_SIGNATURE_HH
 
 #include <cstdint>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -57,6 +58,10 @@ struct SignatureConfig
     std::uint64_t hashSeed = 0xb01d'5c5cULL;
 
     unsigned bitsPerBank() const { return totalBits / numBanks; }
+
+    /** With 3 or more banks the last bank XOR-folds in bank 1's index
+     *  rotated by 4 bits, so each bank needs at least this many bits. */
+    static constexpr unsigned kMinFoldedBankBits = 16;
 };
 
 /**
@@ -138,7 +143,9 @@ class Signature
 
     /** 64-bit digest of the Bloom bit array (explorer state
      *  fingerprinting). Equal signatures hash equal; the exact mirror
-     *  does not participate (it never travels on the wire). */
+     *  does not participate (it never travels on the wire). Cached
+     *  until the next bit change, so repeated fingerprints of an
+     *  unchanged signature cost O(1). */
     std::uint64_t hash() const;
 
     /** Raw bank-bit access (used by the wire codec). */
@@ -166,6 +173,9 @@ class Signature
 
     /** Exact mirror of inserted lines. */
     std::unordered_set<LineAddr> exactSet;
+
+    /** hash() of the current bits; reset by every bit change. */
+    mutable std::optional<std::uint64_t> cachedHash;
 };
 
 } // namespace bulksc

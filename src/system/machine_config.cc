@@ -96,6 +96,19 @@ MachineConfig::validate(std::string &err) const
                     ") must be a power of two — each bank is indexed "
                     "by an address-bit slice");
     }
+    if (sc.numBanks >= 3 &&
+        sc.bitsPerBank() < SignatureConfig::kMinFoldedBankBits) {
+        const unsigned min_bits =
+            SignatureConfig::kMinFoldedBankBits * sc.numBanks;
+        return fail("sig-bits / sig-banks (" +
+                    std::to_string(sc.bitsPerBank()) +
+                    ") must be at least " +
+                    std::to_string(SignatureConfig::kMinFoldedBankBits) +
+                    " with 3 or more sig-banks — the last bank folds "
+                    "in bank 1's index rotated by 4 bits; use sig-bits "
+                    ">= " + std::to_string(min_bits) +
+                    " or at most 2 sig-banks");
+    }
 
     if (bulk.chunkSize == 0)
         return fail("chunk must be at least 1 instruction");

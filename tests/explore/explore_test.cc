@@ -276,6 +276,35 @@ TEST(Explorer, FingerprintPruningShrinksTheSearch)
     EXPECT_EQ(rw.violations, ro.violations);
 }
 
+// Exact outcomes of two exhaustive explorations. Fingerprints feed
+// every pruning decision, so any drift in a component's state digest
+// shows up here as a changed count.
+TEST(Explorer, SbDelayWindowCountsArePinned)
+{
+    ExploreConfig ec = litmusConfig("sb");
+    ec.machine.faults = "net.delay=0:4";
+    ExploreResult r = Explorer(ec).explore();
+    EXPECT_TRUE(r.exhaustive);
+    EXPECT_EQ(r.violations, 0u);
+    EXPECT_EQ(r.schedulesRun, 125u);
+    EXPECT_EQ(r.decisionsTotal, 3531u);
+    EXPECT_EQ(r.prunedPor, 15u);
+    EXPECT_EQ(r.prunedFingerprint, 2375u);
+}
+
+TEST(Explorer, IriwDelayWindowCountsArePinned)
+{
+    ExploreConfig ec = litmusConfig("iriw");
+    ec.machine.faults = "net.delay=0:2";
+    ExploreResult r = Explorer(ec).explore();
+    EXPECT_TRUE(r.exhaustive);
+    EXPECT_EQ(r.violations, 0u);
+    EXPECT_EQ(r.schedulesRun, 407u);
+    EXPECT_EQ(r.decisionsTotal, 25775u);
+    EXPECT_EQ(r.prunedPor, 1055u);
+    EXPECT_EQ(r.prunedFingerprint, 15989u);
+}
+
 // The end-to-end acceptance path: a fault that breaks the arbiter's
 // collision check must yield an SC-violation counterexample that
 // minimizes and replays to the identical verdict and schedule.

@@ -34,7 +34,7 @@ TEST(CacheArray, MissThenHit)
     std::optional<Victim> vic;
     c.insert(7, LineState::Shared, nullptr, vic);
     EXPECT_FALSE(vic.has_value());
-    CacheLine *l = c.lookup(7);
+    const CacheLine *l = c.lookup(7);
     ASSERT_NE(l, nullptr);
     EXPECT_EQ(l->state, LineState::Shared);
     EXPECT_EQ(c.hits(), 1u);
@@ -107,7 +107,7 @@ TEST(CacheArray, InsertFailsWhenAllWaysVetoed)
     c.insert(0, LineState::Dirty, nullptr, vic);
     c.insert(4, LineState::Dirty, nullptr, vic);
     auto veto_all = [](LineAddr) { return false; };
-    CacheLine *l = c.insert(8, LineState::Shared, veto_all, vic);
+    const CacheLine *l = c.insert(8, LineState::Shared, veto_all, vic);
     EXPECT_EQ(l, nullptr);
     EXPECT_FALSE(vic.has_value());
 }
@@ -132,6 +132,22 @@ TEST(CacheArray, InvalidateReturnsPriorState)
     EXPECT_EQ(c.peek(5), nullptr);
 }
 
+TEST(CacheArray, SetStateChangesOnlyResidentLines)
+{
+    CacheArray c(tinyGeom());
+    std::optional<Victim> vic;
+    c.insert(0, LineState::Dirty, nullptr, vic);
+    c.insert(4, LineState::Shared, nullptr, vic);
+    c.setState(0, LineState::Shared); // downgrade; LRU untouched
+    c.setState(9, LineState::Dirty);  // absent: no effect
+    EXPECT_EQ(c.peek(0)->state, LineState::Shared);
+    EXPECT_EQ(c.peek(9), nullptr);
+    // Line 0 is still LRU, so it is the victim.
+    c.insert(8, LineState::Shared, nullptr, vic);
+    ASSERT_TRUE(vic.has_value());
+    EXPECT_EQ(vic->line, 0u);
+}
+
 TEST(CacheArray, CountVetoedCountsOnlyMatchingSet)
 {
     CacheArray c(tinyGeom());
@@ -151,10 +167,10 @@ TEST(CacheArray, ForEachInSetVisitsValidLines)
     c.insert(0, LineState::Shared, nullptr, vic);
     c.insert(4, LineState::Dirty, nullptr, vic);
     unsigned n = 0;
-    c.forEachInSet(0, [&](CacheLine &) { ++n; });
+    c.forEachInSet(0, [&](const CacheLine &) { ++n; });
     EXPECT_EQ(n, 2u);
     n = 0;
-    c.forEachInSet(1, [&](CacheLine &) { ++n; });
+    c.forEachInSet(1, [&](const CacheLine &) { ++n; });
     EXPECT_EQ(n, 0u);
 }
 
@@ -165,7 +181,7 @@ TEST(CacheArray, ForEachVisitsWholeArray)
     for (LineAddr l = 0; l < 6; ++l)
         c.insert(l, LineState::Shared, nullptr, vic);
     unsigned n = 0;
-    c.forEach([&](CacheLine &) { ++n; });
+    c.forEach([&](const CacheLine &) { ++n; });
     EXPECT_EQ(n, 6u);
 }
 

@@ -120,7 +120,7 @@ TEST(FuzzCacheArray, MatchesReferenceModel)
         LineAddr line = rng.below(64);
         switch (rng.below(4)) {
           case 0: { // lookup
-            CacheLine *d = dut.lookup(line);
+            const CacheLine *d = dut.lookup(line);
             const RefCache::Entry *r = ref.find(line);
             ASSERT_EQ(d != nullptr, r != nullptr)
                 << "step " << step << " line " << line;

@@ -83,5 +83,25 @@ TEST(MachineConfig, ResolvePropagatesProcCount)
     EXPECT_EQ(cfg.cpu.numBarrierProcs, 4u);
 }
 
+TEST(MachineConfig, ValidateRejectsNarrowFoldedSignatureBanks)
+{
+    // With 3+ banks the last bank folds in bank 1's index rotated by
+    // 4 bits, so banks narrower than 16 bits cannot be indexed.
+    MachineConfig cfg;
+    cfg.bulk.sigCfg.totalBits = 32;
+    cfg.bulk.sigCfg.numBanks = 4;
+    std::string err;
+    EXPECT_FALSE(cfg.validate(err));
+    EXPECT_NE(err.find("sig-bits >= 64"), std::string::npos) << err;
+    EXPECT_NE(err.find("at most 2 sig-banks"), std::string::npos) << err;
+
+    cfg.bulk.sigCfg.totalBits = 64; // 16 bits per bank: the minimum
+    EXPECT_TRUE(cfg.validate(err)) << err;
+
+    cfg.bulk.sigCfg.totalBits = 16; // 2 banks of 8 bits: no fold
+    cfg.bulk.sigCfg.numBanks = 2;
+    EXPECT_TRUE(cfg.validate(err)) << err;
+}
+
 } // namespace
 } // namespace bulksc
