@@ -7,9 +7,9 @@
 
 namespace bulksc {
 
-Arbiter::Arbiter(EventQueue &eq, Network &n, NodeId node_,
+Arbiter::Arbiter(EventQueue &eq, ReliableChannel &c, NodeId node_,
                  Tick processing_, bool rsig_opt, unsigned max_commits)
-    : SimObject(eq, "arbiter"), net(n), node(node_),
+    : SimObject(eq, "arbiter"), chan(c), net(c.network()), node(node_),
       processing(processing_), rsigOpt(rsig_opt),
       maxCommits(max_commits)
 {}
@@ -37,62 +37,9 @@ Arbiter::collides(const Signature &s) const
 }
 
 void
-Arbiter::concludeAndReply(ProcId p, bool ok,
-                          const std::function<void(bool)> &reply,
-                          std::shared_ptr<Signature> w)
-{
-    TxnRecord &rec = txns[p];
-    rec.decided = true;
-    rec.ok = ok;
-
-    MsgFootprint fp;
-    fp.wsig = std::move(w);
-    if (faults &&
-        faults->dropMessage(FaultKind::ArbGrantLoss, curTick(),
-                            static_cast<int>(TrafficClass::Other))) {
-        ++stats_.lostReplies;
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
-                    trackArb(0), rec.txn,
-                    static_cast<std::uint64_t>(
-                        FaultKind::ArbGrantLoss));
-        // The bits still travel; the message just never arrives.
-        net.send(node, p, TrafficClass::Other, 8, [] {}, fp);
-    } else {
-        net.send(node, p, TrafficClass::Other, 8,
-                 [reply, ok] { reply(ok); }, fp);
-    }
-    if (faults &&
-        faults->duplicateMessage(
-            curTick(), static_cast<int>(TrafficClass::Other))) {
-        net.send(node, p, TrafficClass::Other, 8,
-                 [reply, ok] { reply(ok); }, fp);
-    }
-}
-
-bool
-Arbiter::dedupRequest(ProcId p, std::uint64_t txn,
-                      const std::function<void(bool)> &reply)
-{
-    auto it = txns.find(p);
-    if (it != txns.end() && it->second.txn == txn) {
-        ++stats_.dupRequests;
-        // Duplicate of a decided transaction: answer from the cache
-        // (never decide twice — a granted W is already in the list and
-        // would collide with itself). Still deciding: swallow; the
-        // in-flight decision's reply is on its way.
-        if (it->second.decided)
-            concludeAndReply(p, it->second.ok, reply);
-        return true;
-    }
-    txns[p] = TxnRecord{txn, false, false};
-    return false;
-}
-
-void
-Arbiter::requestCommit(ProcId p, std::uint64_t txn,
-                       std::shared_ptr<Signature> w,
+Arbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
                        RProvider r_provider,
-                       std::function<void(bool)> reply)
+                       ReliableChannel::ReplyPort port)
 {
     // Request message: with the RSig optimization only W travels.
     unsigned bits = w->empty() ? 16 : w->compressedBits();
@@ -106,20 +53,7 @@ Arbiter::requestCommit(ProcId p, std::uint64_t txn,
                  rfp);
     }
 
-    if (faults &&
-        faults->dropMessage(FaultKind::ArbReqLoss, curTick(),
-                            static_cast<int>(TrafficClass::WrSig))) {
-        ++stats_.lostRequests;
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
-                    trackArb(0), txn,
-                    static_cast<std::uint64_t>(FaultKind::ArbReqLoss));
-        net.send(p, node, TrafficClass::WrSig, bits, [] {});
-        return;
-    }
-
-    auto deliver = [this, p, txn, w, upfront_r, r_provider, reply] {
-        if (dedupRequest(p, txn, reply))
-            return;
+    auto deliver = [this, p, w, upfront_r, r_provider, port] {
         ++stats_.requests;
 
         // Pre-arbitration: reject everyone but the owner.
@@ -127,40 +61,36 @@ Arbiter::requestCommit(ProcId p, std::uint64_t txn,
             ++stats_.denials;
             EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
                         trackArb(0), 0, wList.size(), 0);
-            eventq.scheduleAfter(processing, [this, p, w, reply] {
-                concludeAndReply(p, false, reply, w);
+            eventq.scheduleAfter(processing, [this, w, port] {
+                chan.sendReply(port, node, false, w);
             });
             return;
         }
         if (preArbOwner == p)
             preArbOwner = ~ProcId{0};
 
-        decide(p, w, upfront_r, r_provider, std::move(reply));
+        decide(p, w, upfront_r, r_provider, port);
     };
 
     MsgFootprint reqFp;
     reqFp.wsig = w;
     reqFp.rsig = upfront_r;
-    net.send(p, node, TrafficClass::WrSig, bits, deliver, reqFp);
-    if (faults &&
-        faults->duplicateMessage(
-            curTick(), static_cast<int>(TrafficClass::WrSig))) {
-        net.send(p, node, TrafficClass::WrSig, bits, deliver, reqFp);
-    }
+    chan.sendRequest(port, node, TrafficClass::WrSig, bits, deliver,
+                     reqFp);
 }
 
 void
 Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
                 std::shared_ptr<Signature> r, RProvider r_provider,
-                std::function<void(bool)> reply)
+                ReliableChannel::ReplyPort port)
 {
     // The entire check runs atomically at the decision tick: the W
     // list is examined exactly once, and if the R signature turns out
     // to be needed but absent (RSig optimization), it is fetched and
     // the decision re-runs against the then-current list.
     eventq.scheduleAfter(processing, [this, p, w, r, r_provider,
-                                      reply] {
-        auto finalize = [this, p, reply](
+                                      port] {
+        auto finalize = [this, p, port](
                             bool ok,
                             const std::shared_ptr<Signature> &w_) {
             TRACE_LOG(TraceCat::Commit, curTick(), "arbiter: ",
@@ -181,7 +111,7 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
                 ++stats_.denials;
             }
             tryActivatePreArb();
-            concludeAndReply(p, ok, reply, w_);
+            chan.sendReply(port, node, ok, w_);
         };
 
         if (wList.empty()) {
@@ -192,7 +122,7 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
             // RSig slow path: fetch R, then re-decide.
             ++stats_.rsigRequired;
             net.send(node, p, TrafficClass::Other, 16,
-                     [this, p, w, r_provider, reply] {
+                     [this, p, w, r_provider, port] {
                 auto fetched = r_provider();
                 if (!fetched) {
                     // Chunk vanished (squashed); deny.
@@ -200,15 +130,15 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
                     EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
                                 trackArb(0), 0, wList.size(), 0);
                     tryActivatePreArb();
-                    concludeAndReply(p, false, reply, w);
+                    chan.sendReply(port, node, false, w);
                     return;
                 }
                 MsgFootprint rfp;
                 rfp.rsig = fetched;
                 net.send(p, node, TrafficClass::RdSig,
                          fetched->compressedBits(),
-                         [this, p, w, fetched, r_provider, reply] {
-                             decide(p, w, fetched, r_provider, reply);
+                         [this, p, w, fetched, r_provider, port] {
+                             decide(p, w, fetched, r_provider, port);
                          },
                          rfp);
             });
@@ -279,13 +209,6 @@ Arbiter::fingerprint() const
     for (const auto &w : wList)
         wl += mix64(w->hash());
     h = mix64(h ^ wl);
-    std::uint64_t tc = 0;
-    for (const auto &[p, rec] : txns) {
-        tc += mix64(mix64(p) ^ rec.txn ^
-                    (std::uint64_t{rec.decided} << 62) ^
-                    (std::uint64_t{rec.ok} << 61));
-    }
-    h = mix64(h ^ tc);
     h = mix64(h ^ preArbOwner);
     std::uint64_t pq = 0x9; // non-zero so an empty queue still folds
     for (const auto &e : preArbQueue)

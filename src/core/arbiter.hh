@@ -28,7 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "network/network.hh"
+#include "network/reliable_channel.hh"
 #include "signature/signature.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault_plane.hh"
@@ -51,16 +51,6 @@ struct ArbiterStats
     /** Colliding requests granted anyway by the fault-injection knob
      *  (negative testing of the SC checkers; 0 in normal operation). */
     std::uint64_t faultInjectedGrants = 0;
-
-    /** Duplicate or retransmitted requests absorbed by the dedup
-     *  cache (decided ones get their cached decision re-sent). */
-    std::uint64_t dupRequests = 0;
-
-    /** Requests lost to fault injection before reaching the arbiter. */
-    std::uint64_t lostRequests = 0;
-
-    /** Decision replies lost to fault injection. */
-    std::uint64_t lostReplies = 0;
 
     /** Time integral of the W-list size (for avg pending W sigs). */
     double pendingIntegral = 0.0;
@@ -96,24 +86,20 @@ class ArbiterIface
     virtual ~ArbiterIface() = default;
 
     /**
-     * Request permission to commit.
+     * Request permission to commit (one attempt; the reliable channel
+     * runs it again on a resend).
      *
      * @param p Requesting processor.
-     * @param txn Per-processor transaction number. Retransmissions of
-     *        the same request reuse the number so the arbiter can
-     *        deduplicate them idempotently: a duplicate of a decided
-     *        transaction re-sends the cached decision instead of
-     *        deciding twice.
      * @param w The chunk's W signature (kept by the arbiter on grant).
      * @param r_provider Called if the R signature is needed.
-     * @param reply Receives the decision at the processor (may be
-     *        invoked more than once under reply duplication; callers
-     *        must ignore repeats).
+     * @param reply The transaction the request belongs to: the request
+     *        message travels with it through
+     *        ReliableChannel::sendRequest, the decision through
+     *        ReliableChannel::sendReply.
      */
-    virtual void requestCommit(ProcId p, std::uint64_t txn,
-                               std::shared_ptr<Signature> w,
+    virtual void requestCommit(ProcId p, std::shared_ptr<Signature> w,
                                RProvider r_provider,
-                               std::function<void(bool)> reply) = 0;
+                               ReliableChannel::ReplyPort reply) = 0;
 
     /** All directories acknowledged the commit of @p w: drop it. */
     virtual void commitDone(const std::shared_ptr<Signature> &w) = 0;
@@ -124,8 +110,8 @@ class ArbiterIface
 
     virtual const ArbiterStats &stats() const = 0;
 
-    /** Digest of the arbiter's protocol state (W list, decision
-     *  cache, pre-arbitration) for explorer revisit pruning. */
+    /** Digest of the arbiter's protocol state (W list,
+     *  pre-arbitration) for explorer revisit pruning. */
     virtual std::uint64_t fingerprint() const { return 0; }
 };
 
@@ -134,28 +120,28 @@ class Arbiter : public SimObject, public ArbiterIface
 {
   public:
     /**
+     * @param chan Carries the commit requests and decisions; other
+     *        messages go straight to its network.
      * @param node Network node id of the arbiter.
      * @param processing Signature-check latency (the paper's 30-cycle
      *        commit arbitration latency minus the network hops).
      * @param rsig_opt Enable the RSig bandwidth optimization.
      * @param max_commits Maximum simultaneously-committing chunks.
      */
-    Arbiter(EventQueue &eq, Network &net, NodeId node, Tick processing,
-            bool rsig_opt, unsigned max_commits = 8);
+    Arbiter(EventQueue &eq, ReliableChannel &chan, NodeId node,
+            Tick processing, bool rsig_opt, unsigned max_commits = 8);
 
     /**
-     * Attach the fault plane. Request/reply loss and duplication
-     * (arb.req_loss, arb.grant_loss, net.drop, net.dup) are injected
-     * here; arb.skip_collision grants every Nth colliding request,
-     * deliberately breaking chunk disambiguation so the analysis
-     * subsystem has SC violations to catch.
+     * Attach the fault plane for arb.skip_collision: grant every Nth
+     * colliding request, deliberately breaking chunk disambiguation so
+     * the analysis subsystem has SC violations to catch. (Message
+     * faults are the reliable channel's business.)
      */
     void setFaultPlane(FaultPlane *fp) { faults = fp; }
 
-    void requestCommit(ProcId p, std::uint64_t txn,
-                       std::shared_ptr<Signature> w,
+    void requestCommit(ProcId p, std::shared_ptr<Signature> w,
                        RProvider r_provider,
-                       std::function<void(bool)> reply) override;
+                       ReliableChannel::ReplyPort reply) override;
 
     void commitDone(const std::shared_ptr<Signature> &w) override;
 
@@ -170,7 +156,7 @@ class Arbiter : public SimObject, public ArbiterIface
   private:
     void decide(ProcId p, const std::shared_ptr<Signature> &w,
                 std::shared_ptr<Signature> r, RProvider r_provider,
-                std::function<void(bool)> reply);
+                ReliableChannel::ReplyPort reply);
 
     /** True iff some listed W intersects @p s. */
     bool collides(const Signature &s) const;
@@ -179,41 +165,13 @@ class Arbiter : public SimObject, public ArbiterIface
 
     void tryActivatePreArb();
 
-    /**
-     * Record the decision for the processor's current transaction and
-     * send the reply (subject to grant-loss / duplication injection).
-     * @p w is the decided chunk's W signature; it rides along as the
-     * reply's footprint so the schedule explorer can commute replies
-     * to different processors (null = unknown, ordered pessimally).
-     */
-    void concludeAndReply(ProcId p, bool ok,
-                          const std::function<void(bool)> &reply,
-                          std::shared_ptr<Signature> w = nullptr);
-
-    /**
-     * Idempotence filter at request delivery. @return true iff the
-     * message is a duplicate and was fully handled here (either
-     * swallowed while the decision is still in flight, or answered
-     * from the decision cache).
-     */
-    bool dedupRequest(ProcId p, std::uint64_t txn,
-                      const std::function<void(bool)> &reply);
-
+    ReliableChannel &chan;
     Network &net;
     NodeId node;
     Tick processing;
     bool rsigOpt;
     unsigned maxCommits;
     FaultPlane *faults = nullptr;
-
-    /** Decision cache: the latest transaction seen per processor. */
-    struct TxnRecord
-    {
-        std::uint64_t txn = ~std::uint64_t{0};
-        bool decided = false;
-        bool ok = false;
-    };
-    std::unordered_map<ProcId, TxnRecord> txns;
 
     std::vector<std::shared_ptr<Signature>> wList;
 

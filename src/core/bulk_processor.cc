@@ -13,9 +13,10 @@ BulkProcessor::BulkProcessor(EventQueue &eq, const std::string &name,
                              const Trace &trace,
                              const CpuParams &cpu_params,
                              const BulkParams &bulk_params,
-                             ArbiterIface &arb_)
+                             ArbiterIface &arb_, ReliableChannel &chan_)
     : ProcessorBase(eq, name, pid, mem, trace, cpu_params),
-      bprm(bulk_params), arb(arb_), nextChunkTarget(bprm.chunkSize),
+      bprm(bulk_params), arb(arb_), chan(chan_),
+      nextChunkTarget(bprm.chunkSize),
       privBuf(bprm.privBufferEntries)
 {}
 
@@ -462,91 +463,19 @@ BulkProcessor::maybeArbitrate()
         return c ? std::make_shared<Signature>(c->r) : nullptr;
     };
 
-    auto att = std::make_shared<ArbAttempt>();
-    att->txn = ++nextArbTxn;
-    att->seq = seq;
-    att->w = std::move(w);
-    att->rp = std::move(r_provider);
-    arbAttempts.emplace(att->txn, att);
-    sendArbAttempt(att);
-}
-
-Tick
-BulkProcessor::resendDelay(std::uint64_t txn, unsigned attempts) const
-{
-    // Exponential backoff, capped, with deterministic +/-25% jitter so
-    // retransmission storms from several starved processors decohere
-    // without perturbing reproducibility.
-    unsigned shift = attempts < 16 ? attempts - 1 : 15;
-    Tick base = bprm.resendTimeout << shift;
-    if (base > bprm.resendTimeoutCap)
-        base = bprm.resendTimeoutCap;
-    return jitteredBackoff(base,
-                           (static_cast<std::uint64_t>(pid) << 48) ^
-                               (txn << 8) ^ attempts);
+    chan.call(
+        pid, seq,
+        [this, w, r_provider](const ReliableChannel::ReplyPort &port) {
+            arb.requestCommit(pid, w, r_provider, port);
+        },
+        [this, seq, w](bool granted) { onArbReply(seq, w, granted); });
 }
 
 void
-BulkProcessor::sendArbAttempt(const std::shared_ptr<ArbAttempt> &att)
-{
-    ++att->attempts;
-    if (att->attempts > 1) {
-        ++bstats.resends;
-        EVENT_TRACE(TraceEventType::Resend, curTick(), trackProc(pid),
-                    att->seq, att->attempts - 1);
-        TRACE_LOG(TraceCat::Fault, curTick(), name(), ": resend #",
-                  att->attempts - 1, " of commit request txn ",
-                  att->txn, " (chunk ", att->seq, ")");
-    }
-
-    arb.requestCommit(pid, att->txn, att->w, att->rp,
-                      [this, att](bool granted) {
-        onArbReply(att, granted);
-    });
-
-    if (!bprm.harden)
-        return;
-
-    // Arm the timeout for this attempt. A reply (to any attempt of
-    // this transaction) disarms it by flipping att->replied.
-    eventq.scheduleAfter(
-        resendDelay(att->txn, att->attempts),
-        [this, att, sent = att->attempts] {
-            if (att->replied || att->attempts != sent)
-                return;
-            if (att->attempts > bprm.maxResend) {
-                // Give up: the request (or every reply) keeps
-                // vanishing. The processor stalls here and the
-                // watchdog turns the stall into a deadlock report.
-                ++bstats.resendGiveUps;
-                arbAttempts.erase(att->txn);
-                TRACE_LOG(TraceCat::Fault, curTick(), name(),
-                          ": giving up on commit request txn ",
-                          att->txn, " after ", att->attempts,
-                          " attempts");
-                return;
-            }
-            sendArbAttempt(att);
-        });
-}
-
-void
-BulkProcessor::onArbReply(const std::shared_ptr<ArbAttempt> &att,
+BulkProcessor::onArbReply(std::uint64_t seq,
+                          const std::shared_ptr<Signature> &w,
                           bool granted)
 {
-    // Replies can be duplicated by the fault plane (or arrive once
-    // per retransmission of a decided transaction): only the first
-    // one acts.
-    if (att->replied)
-        return;
-    att->replied = true;
-    arbAttempts.erase(att->txn);
-    if (bprm.harden)
-        bstats.resendAttempts.sample(
-            static_cast<double>(att->attempts));
-
-    std::uint64_t seq = att->seq;
-    std::shared_ptr<Signature> w = att->w;
     EVENT_TRACE(granted ? TraceEventType::ArbGrant
                         : TraceEventType::ArbDeny,
                 curTick(), trackProc(pid), seq);
@@ -694,7 +623,7 @@ BulkProcessor::chunkStateDump() const
        << " consecutive=" << consecutiveSquashes
        << " lastCommit=" << lastCommit
        << " nextTarget=" << nextChunkTarget
-       << " inflightTxns=" << arbAttempts.size()
+       << " inflightTxns=" << chan.inflightCalls(pid)
        << (finished() ? " FINISHED" : "") << "\n";
     for (const auto &c : chunks) {
         os << "  chunk seq=" << c->seq << " instrs=" << c->execInstrs
@@ -714,7 +643,6 @@ BulkProcessor::fingerprint() const
     std::uint64_t h = ProcessorBase::fingerprint();
     h = mix64(h ^ nextSeq);
     h = mix64(h ^ consecutiveSquashes);
-    h = mix64(h ^ nextArbTxn);
     h = mix64(h ^ (std::uint64_t{preArbPending} << 1) ^
               (std::uint64_t{preArbWaiting} << 2) ^
               (std::uint64_t{syncBusy} << 3));
@@ -748,10 +676,7 @@ BulkProcessor::fingerprint() const
         h = mix64(h ^ e.opIdx ^ (e.chunkSeq << 20) ^
                   (std::uint64_t{e.completed} << 63));
     }
-    std::uint64_t at = 0;
-    for (const auto &[txn, att] : arbAttempts)
-        at += mix64(txn);
-    return mix64(h ^ at);
+    return h;
 }
 
 void

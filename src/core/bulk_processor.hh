@@ -19,7 +19,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "analysis/analysis_engine.hh"
 #include "core/arbiter.hh"
@@ -54,27 +53,6 @@ struct BulkParams
 
     /** Delay before retrying a denied commit request. */
     Tick commitRetryDelay = 30;
-
-    /**
-     * Arm the commit-request timeout/resend machinery. Off by default:
-     * with a reliable interconnect every request gets exactly one
-     * reply, so no timer is ever needed and behaviour is bit-identical
-     * to the unhardened protocol. The System turns it on when the
-     * fault plane can lose or duplicate messages (or --harden forces
-     * it).
-     */
-    bool harden = false;
-
-    /** Resend attempts before giving up on a commit request. A proc
-     *  that gives up stalls; the watchdog reports the deadlock. */
-    unsigned maxResend = 8;
-
-    /** Base commit-request timeout; doubles per attempt (plus
-     *  deterministic jitter) up to resendTimeoutCap. */
-    Tick resendTimeout = 256;
-
-    /** Ceiling for the exponential resend backoff. */
-    Tick resendTimeoutCap = 8192;
 
     /** Consecutive squashes before pre-arbitration kicks in. */
     unsigned preArbThreshold = 6;
@@ -131,16 +109,6 @@ struct BulkStats
      *  mirrors were disabled (signature.track-exact=0). */
     std::uint64_t unattributedSquashes = 0;
 
-    /** Commit requests retransmitted after a timeout. */
-    std::uint64_t resends = 0;
-
-    /** Commit requests abandoned after maxResend attempts. */
-    std::uint64_t resendGiveUps = 0;
-
-    /** Send attempts each decided commit request needed (1 = no
-     *  fault; only sampled when hardening is armed). */
-    Histogram resendAttempts;
-
     /** First commit request to grant, per committed chunk (cycles). */
     Histogram arbLatency;
 
@@ -160,7 +128,8 @@ class BulkProcessor : public ProcessorBase
     BulkProcessor(EventQueue &eq, const std::string &name, ProcId pid,
                   MemorySystem &mem, const Trace &trace,
                   const CpuParams &cpu_params,
-                  const BulkParams &bulk_params, ArbiterIface &arb);
+                  const BulkParams &bulk_params, ArbiterIface &arb,
+                  ReliableChannel &chan);
 
     // CacheListener
     void onRemoteWSig(const Signature &w) override;
@@ -286,32 +255,8 @@ class BulkProcessor : public ProcessorBase
     void onGranted(std::uint64_t seq, std::shared_ptr<Signature> w);
     void squashFrom(std::size_t idx, SquashCause cause);
 
-    /**
-     * One commit-permission attempt in flight: the transaction id, the
-     * signatures it travels with, and the resend bookkeeping. Kept in
-     * arbAttempts until a reply lands or the resends are exhausted, so
-     * a late (or duplicated) reply can still clean up the arbiter's W
-     * list even if the chunk is long gone.
-     */
-    struct ArbAttempt
-    {
-        std::uint64_t txn = 0;
-        std::uint64_t seq = 0;
-        std::shared_ptr<Signature> w;
-        RProvider rp;
-        unsigned attempts = 0;
-        bool replied = false;
-    };
-
-    /** Transmit (or retransmit) @p att and arm the resend timer. */
-    void sendArbAttempt(const std::shared_ptr<ArbAttempt> &att);
-
-    /** Timeout for attempt number @p attempts (1-based): exponential
-     *  backoff with deterministic jitter. */
-    Tick resendDelay(std::uint64_t txn, unsigned attempts) const;
-
-    /** Reply handler shared by all (re)transmissions of @p att. */
-    void onArbReply(const std::shared_ptr<ArbAttempt> &att,
+    /** The arbiter's decision on chunk @p seq (first reply only). */
+    void onArbReply(std::uint64_t seq, const std::shared_ptr<Signature> &w,
                     bool granted);
 
     /** Run @p fn with the current chunk, retrying while stalled. */
@@ -320,18 +265,14 @@ class BulkProcessor : public ProcessorBase
     BulkParams bprm;
     ArbiterIface &arb;
 
+    /** Carries the commit-permission requests and replies. */
+    ReliableChannel &chan;
+
     std::deque<std::unique_ptr<Chunk>> chunks;
     std::uint64_t nextSeq = 0;
     unsigned nextChunkTarget;
     unsigned consecutiveSquashes = 0;
     Tick lastCommit = 0;
-
-    /** Commit-permission transaction counter (ids are per-proc). */
-    std::uint64_t nextArbTxn = 0;
-
-    /** In-flight commit-permission attempts by transaction id. */
-    std::unordered_map<std::uint64_t, std::shared_ptr<ArbAttempt>>
-        arbAttempts;
 
     std::deque<WinEntry> window;
     Tick fetchAvail = 0;

@@ -8,10 +8,12 @@
 
 namespace bulksc {
 
-DistributedArbiter::DistributedArbiter(EventQueue &eq, Network &n,
+DistributedArbiter::DistributedArbiter(EventQueue &eq,
+                                       ReliableChannel &c,
                                        NodeId first_node, unsigned count,
                                        Tick processing_, bool rsig_opt)
-    : SimObject(eq, "dist-arbiter"), net(n), firstNode(first_node),
+    : SimObject(eq, "dist-arbiter"), chan(c), net(c.network()),
+      firstNode(first_node),
       processing(processing_), rsigOpt(rsig_opt)
 {
     fatal_if(count == 0, "need at least one arbiter module");
@@ -77,43 +79,10 @@ DistributedArbiter::touchStats()
 }
 
 void
-DistributedArbiter::sendReply(ProcId p, bool ok,
-                              const std::function<void(bool)> &reply,
-                              NodeId from, std::shared_ptr<Signature> w)
-{
-    MsgFootprint fp;
-    fp.wsig = std::move(w);
-    if (faults &&
-        faults->dropMessage(FaultKind::ArbGrantLoss, curTick(),
-                            static_cast<int>(TrafficClass::Other))) {
-        ++stats_.lostReplies;
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
-                    trackArb(static_cast<unsigned>(from - firstNode)),
-                    0,
-                    static_cast<std::uint64_t>(
-                        FaultKind::ArbGrantLoss));
-        net.send(from, p, TrafficClass::Other, 8, [] {}, fp);
-    } else {
-        net.send(from, p, TrafficClass::Other, 8,
-                 [reply, ok] { reply(ok); }, fp);
-    }
-    if (faults &&
-        faults->duplicateMessage(
-            curTick(), static_cast<int>(TrafficClass::Other))) {
-        net.send(from, p, TrafficClass::Other, 8,
-                 [reply, ok] { reply(ok); }, fp);
-    }
-}
-
-void
-DistributedArbiter::finishDecision(ProcId p, bool ok,
-                                   std::function<void(bool)> reply,
-                                   NodeId from,
+DistributedArbiter::finishDecision(const ReliableChannel::ReplyPort &reply,
+                                   bool ok, NodeId from,
                                    std::shared_ptr<Signature> w)
 {
-    TxnRecord &rec = txns[p];
-    rec.decided = true;
-    rec.ok = ok;
     if (ok)
         ++stats_.grants;
     else
@@ -121,45 +90,15 @@ DistributedArbiter::finishDecision(ProcId p, bool ok,
     EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
                 trackArb(static_cast<unsigned>(from - firstNode)), 0,
                 activeTxns, ok ? 1 : 0);
-    sendReply(p, ok, reply, from, std::move(w));
+    chan.sendReply(reply, from, ok, std::move(w));
 }
 
 void
-DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
-                                  std::shared_ptr<Signature> w,
+DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
                                   RProvider r_provider,
-                                  std::function<void(bool)> reply)
+                                  ReliableChannel::ReplyPort reply)
 {
     NodeId gnode = firstNode + static_cast<NodeId>(modules.size());
-
-    // Idempotent dedup: a retransmission of the transaction in flight
-    // is swallowed; one of a decided transaction re-sends the cached
-    // decision (deciding twice would self-collide with the reserved
-    // W signatures).
-    auto it = txns.find(p);
-    if (it != txns.end() && it->second.txn == txn) {
-        ++stats_.dupRequests;
-        if (it->second.decided)
-            sendReply(p, it->second.ok, reply, gnode, w);
-        return;
-    }
-    txns[p] = TxnRecord{txn, false, false};
-
-    if (faults &&
-        faults->dropMessage(FaultKind::ArbReqLoss, curTick(),
-                            static_cast<int>(TrafficClass::WrSig))) {
-        ++stats_.lostRequests;
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(),
-                    trackArb(static_cast<unsigned>(modules.size())),
-                    txn,
-                    static_cast<std::uint64_t>(FaultKind::ArbReqLoss));
-        // The bits travel but never arrive; forget the record so the
-        // retransmission re-enters the decision flow.
-        net.send(p, gnode, TrafficClass::WrSig,
-                 w->empty() ? 16 : w->compressedBits(), [] {});
-        txns.erase(p);
-        return;
-    }
 
     // The processor knows from the signatures which arbiter(s) to
     // contact (Section 4.2.3).
@@ -187,12 +126,12 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
         if (!rsigOpt && r)
             net.send(p, mnode, TrafficClass::RdSig, r->compressedBits(),
                      [] {});
-        net.send(p, mnode, TrafficClass::WrSig, bits,
-                 [this, p, w, r, m, mnode, w_here, reply] {
+        chan.sendRequest(reply, mnode, TrafficClass::WrSig, bits,
+                         [this, p, w, r, m, mnode, w_here, reply] {
             ++stats_.requests;
             ++nSingle;
             if (preArbOwner != ~ProcId{0} && preArbOwner != p) {
-                finishDecision(p, false, reply, mnode, w);
+                finishDecision(reply, false, mnode, w);
                 return;
             }
             bool was_owner = preArbOwner == p;
@@ -208,7 +147,7 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
                                             r ? r->compressedBits()
                                               : 16)
                                   : 0),
-                [this, p, w, r, m, mnode, w_here, was_owner, reply] {
+                [this, w, r, m, mnode, w_here, was_owner, reply] {
                     bool ok = !moduleCollides(m, *w) &&
                               (!r || modules[m].wList.empty() ||
                                !moduleCollides(m, *r));
@@ -226,7 +165,7 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
                         preArbOwner = ~ProcId{0};
                         tryActivatePreArb();
                     }
-                    finishDecision(p, ok, reply, mnode, w);
+                    finishDecision(reply, ok, mnode, w);
                 });
         });
         return;
@@ -236,12 +175,12 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
     // (Figure 8(b)). Both signatures travel with the request.
     unsigned bits = (w->empty() ? 16 : w->compressedBits()) +
                     (r ? r->compressedBits() : 16);
-    net.send(p, gnode, TrafficClass::WrSig, bits,
-             [this, p, w, r, w_ranges, ranges, gnode, reply] {
+    chan.sendRequest(reply, gnode, TrafficClass::WrSig, bits,
+                     [this, p, w, r, w_ranges, ranges, gnode, reply] {
         ++stats_.requests;
         ++nMulti;
         if (preArbOwner != ~ProcId{0} && preArbOwner != p) {
-            finishDecision(p, false, reply, gnode, w);
+            finishDecision(reply, false, gnode, w);
             return;
         }
         bool was_owner = preArbOwner == p;
@@ -259,7 +198,7 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
         if (g_collide) {
             if (was_owner)
                 tryActivatePreArb();
-            finishDecision(p, false, reply, gnode, w);
+            finishDecision(reply, false, gnode, w);
             return;
         }
 
@@ -278,7 +217,7 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
                 w_ranges.end();
             net.send(gnode, firstNode + m, TrafficClass::WrSig,
                      sig_bits,
-                     [this, p, w, r, m, w_here, gnode, votes, all_ok,
+                     [this, w, r, m, w_here, gnode, votes, all_ok,
                       reserved, was_owner, reply] {
                 bool ok = !moduleCollides(m, *w) &&
                           (!r || !moduleCollides(m, *r));
@@ -288,13 +227,13 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
                 }
                 // Vote back to the G-arbiter.
                 net.send(firstNode + m, gnode, TrafficClass::Other, 8,
-                         [this, p, w, ok, gnode, votes, all_ok,
+                         [this, w, ok, gnode, votes, all_ok,
                           reserved, was_owner, reply] {
                     if (!ok)
                         *all_ok = false;
                     if (--*votes != 0)
                         return;
-                    eventq.scheduleAfter(processing, [this, p, w,
+                    eventq.scheduleAfter(processing, [this, w,
                                                       gnode, all_ok,
                                                       reserved,
                                                       was_owner,
@@ -314,7 +253,7 @@ DistributedArbiter::requestCommit(ProcId p, std::uint64_t txn,
                         }
                         if (was_owner)
                             tryActivatePreArb();
-                        finishDecision(p, *all_ok, reply, gnode, w);
+                        finishDecision(reply, *all_ok, gnode, w);
                     });
                 });
             });
@@ -386,13 +325,6 @@ DistributedArbiter::fingerprint() const
     for (const auto &w : gList)
         gl += mix64(w->hash());
     h = mix64(h ^ gl);
-    std::uint64_t tc = 0;
-    for (const auto &[p, rec] : txns) {
-        tc += mix64(mix64(p) ^ rec.txn ^
-                    (std::uint64_t{rec.decided} << 62) ^
-                    (std::uint64_t{rec.ok} << 61));
-    }
-    h = mix64(h ^ tc);
     h = mix64(h ^ activeTxns);
     h = mix64(h ^ preArbOwner);
     std::uint64_t pq = 0x9;

@@ -30,22 +30,20 @@ class DistributedArbiter : public SimObject, public ArbiterIface
      *        first_node + i and the G-arbiter at first_node + count.
      * @param count Number of arbiter modules (address ranges).
      */
-    DistributedArbiter(EventQueue &eq, Network &net, NodeId first_node,
-                       unsigned count, Tick processing, bool rsig_opt);
+    DistributedArbiter(EventQueue &eq, ReliableChannel &chan,
+                       NodeId first_node, unsigned count,
+                       Tick processing, bool rsig_opt);
 
     /**
-     * Attach the fault plane. Request loss and reply loss/duplication
-     * are injected at the processor-facing edges; the internal module
-     * fan-out and votes stay reliable (they model on-chip wiring of
-     * one logical arbiter). arb.skip_collision is not supported here
+     * The processor-facing requests and decisions travel through the
+     * reliable channel; the internal module fan-out and votes go
+     * straight to the network (they model on-chip wiring of one
+     * logical arbiter). arb.skip_collision is not supported here
      * (MachineConfig::validate rejects it with numArbiters > 1).
      */
-    void setFaultPlane(FaultPlane *fp) { faults = fp; }
-
-    void requestCommit(ProcId p, std::uint64_t txn,
-                       std::shared_ptr<Signature> w,
+    void requestCommit(ProcId p, std::shared_ptr<Signature> w,
                        RProvider r_provider,
-                       std::function<void(bool)> reply) override;
+                       ReliableChannel::ReplyPort reply) override;
 
     void commitDone(const std::shared_ptr<Signature> &w) override;
 
@@ -77,34 +75,18 @@ class DistributedArbiter : public SimObject, public ArbiterIface
     void removeFrom(std::vector<std::shared_ptr<Signature>> &list,
                     const std::shared_ptr<Signature> &w);
 
-    void finishDecision(ProcId p, bool ok,
-                        std::function<void(bool)> reply, NodeId from,
-                        std::shared_ptr<Signature> w = nullptr);
-
-    /** Send a (possibly lost/duplicated) decision reply. @p w is the
-     *  decided chunk's W signature, attached as the message footprint
-     *  so the schedule explorer can commute independent replies. */
-    void sendReply(ProcId p, bool ok,
-                   const std::function<void(bool)> &reply, NodeId from,
-                   std::shared_ptr<Signature> w = nullptr);
+    /** Count and send the decision on chunk W @p w. */
+    void finishDecision(const ReliableChannel::ReplyPort &reply, bool ok,
+                        NodeId from, std::shared_ptr<Signature> w);
 
     void touchStats();
     void tryActivatePreArb();
 
+    ReliableChannel &chan;
     Network &net;
     NodeId firstNode;
     Tick processing;
     bool rsigOpt;
-    FaultPlane *faults = nullptr;
-
-    /** Decision cache: the latest transaction seen per processor. */
-    struct TxnRecord
-    {
-        std::uint64_t txn = ~std::uint64_t{0};
-        bool decided = false;
-        bool ok = false;
-    };
-    std::unordered_map<ProcId, TxnRecord> txns;
 
     std::vector<Module> modules;
     std::vector<std::shared_ptr<Signature>> gList;

@@ -32,9 +32,10 @@ wsigFp(std::shared_ptr<const Signature> w)
 
 } // namespace
 
-MemorySystem::MemorySystem(EventQueue &eq, Network &n,
+MemorySystem::MemorySystem(EventQueue &eq, ReliableChannel &c,
                            const MemParams &params)
-    : SimObject(eq, "memsys"), prm(params), net(n), l2(prm.l2)
+    : SimObject(eq, "memsys"), prm(params), chan(c), net(c.network()),
+      l2(prm.l2)
 {
     fatal_if(prm.numProcs == 0 || prm.numProcs > 32,
              "numProcs must be in [1, 32]");
@@ -519,98 +520,14 @@ MemorySystem::bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
                 (*user_done)();
         };
         txn->invalNodesOut = inval_nodes_out;
-        sendCommitW(committer, d, txn, start, ++nextCommitId,
-                    std::make_shared<bool>(false), 1);
+        auto arrive = [this, d, committer, txn, start] {
+            *start = curTick();
+            committingSigs[d].push_back(txn->w);
+            dirHandleCommit(d, committer, txn);
+        };
+        chan.post(committer, prm.numProcs + d, TrafficClass::WrSig,
+                  w->compressedBits(), arrive, wsigFp(w));
     }
-}
-
-void
-MemorySystem::sendCommitW(ProcId committer, unsigned d,
-                          const std::shared_ptr<CommitTxn> &txn,
-                          const std::shared_ptr<Tick> &start,
-                          std::uint64_t id,
-                          const std::shared_ptr<bool> &delivered,
-                          unsigned attempt)
-{
-    if (attempt > 1) {
-        ++nCommitResends;
-        EVENT_TRACE(TraceEventType::Resend, curTick(), trackDir(d), id,
-                    attempt - 1);
-        TRACE_LOG(TraceCat::Fault, curTick(), "dir", d, ": resend #",
-                  attempt - 1, " of commit W ", id, " from proc ",
-                  committer);
-    }
-
-    auto deliver = [this, d, committer, txn, start, id, delivered] {
-        if (*delivered)
-            return; // duplicate or late retransmission
-        if (faults &&
-            faults->dropMessage(
-                FaultKind::DirNack, curTick(),
-                static_cast<int>(TrafficClass::WrSig))) {
-            // The module refuses service (resource pressure); no
-            // explicit nack message travels — the committer's timeout
-            // drives the retry.
-            ++nDirNacks;
-            EVENT_TRACE(TraceEventType::DirNack, curTick(),
-                        trackDir(d), id, 0);
-            return;
-        }
-        *delivered = true;
-        *start = curTick();
-        committingSigs[d].push_back(txn->w);
-        dirHandleCommit(d, committer, txn);
-    };
-
-    bool lost = faults &&
-                faults->dropMessage(
-                    FaultKind::DirCommitLoss, curTick(),
-                    static_cast<int>(TrafficClass::WrSig));
-    if (lost) {
-        EVENT_TRACE(TraceEventType::FaultInject, curTick(), trackDir(d),
-                    id,
-                    static_cast<std::uint64_t>(
-                        FaultKind::DirCommitLoss));
-        net.send(committer, prm.numProcs + d, TrafficClass::WrSig,
-                 txn->w->compressedBits(), [] {}, wsigFp(txn->w));
-    } else {
-        net.send(committer, prm.numProcs + d, TrafficClass::WrSig,
-                 txn->w->compressedBits(), deliver, wsigFp(txn->w));
-    }
-    if (faults &&
-        faults->duplicateMessage(
-            curTick(), static_cast<int>(TrafficClass::WrSig))) {
-        net.send(committer, prm.numProcs + d, TrafficClass::WrSig,
-                 txn->w->compressedBits(), deliver, wsigFp(txn->w));
-    }
-
-    if (!prm.harden)
-        return;
-
-    unsigned shift = attempt < 16 ? attempt - 1 : 15;
-    Tick delay = prm.resendTimeout << shift;
-    if (delay > prm.resendTimeoutCap)
-        delay = prm.resendTimeoutCap;
-    // Deterministic jitter, as in the processors' resend chain.
-    delay = jitteredBackoff(delay, (std::uint64_t{0xd1} << 56) ^
-                                       (id << 8) ^ attempt);
-    eventq.scheduleAfter(delay, [this, committer, d, txn, start, id,
-                                 delivered, attempt] {
-        if (*delivered)
-            return;
-        if (attempt > prm.maxResend) {
-            // Give up: this directory never saw the W, the commit can
-            // never complete, and the committer wedges — which is
-            // exactly what the watchdog exists to report.
-            ++nCommitAbandoned;
-            TRACE_LOG(TraceCat::Fault, curTick(), "dir", d,
-                      ": abandoning commit W ", id, " after ", attempt,
-                      " attempts");
-            return;
-        }
-        sendCommitW(committer, d, txn, start, id, delivered,
-                    attempt + 1);
-    });
 }
 
 void
@@ -820,13 +737,6 @@ MemorySystem::dumpStats(StatGroup &sg, const std::string &prefix) const
     dirCommitService.dumpInto(sg, prefix + "dir_commit_service.");
     if (bounceRetries.samples())
         bounceRetries.dumpInto(sg, prefix + "bounce_retries.");
-    if (nCommitResends || nCommitAbandoned || nDirNacks) {
-        sg.set(prefix + "commit_resends",
-               static_cast<double>(nCommitResends));
-        sg.set(prefix + "commit_abandoned",
-               static_cast<double>(nCommitAbandoned));
-        sg.set(prefix + "dir_nacks", static_cast<double>(nDirNacks));
-    }
 }
 
 std::uint64_t

@@ -25,7 +25,7 @@
 
 #include "mem/cache_array.hh"
 #include "mem/directory.hh"
-#include "network/network.hh"
+#include "network/reliable_channel.hh"
 #include "signature/signature.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -99,19 +99,6 @@ struct MemParams
      *  bounce up to this cap instead of spinning at bounceRetry. */
     Tick bounceRetryCap = 0;
 
-    /** Arm the commit-service timeout/resend machinery (set by the
-     *  System when the fault plane can lose or duplicate messages). */
-    bool harden = false;
-
-    /** Resend attempts before abandoning a commit-service message. */
-    unsigned maxResend = 8;
-
-    /** Base commit-service resend timeout; doubles per attempt. */
-    Tick resendTimeout = 256;
-
-    /** Ceiling for the commit-service resend backoff. */
-    Tick resendTimeoutCap = 8192;
-
     unsigned numDirectories = 1;
     std::size_t dirCacheEntries = 0; //!< 0 = full-mapped directory
     SignatureConfig sigCfg;
@@ -129,20 +116,19 @@ class MemorySystem : public SimObject
   public:
     using AccessCallback = std::function<void()>;
 
-    MemorySystem(EventQueue &eq, Network &net, const MemParams &params);
+    /**
+     * @param chan Carries commit Ws to the directory modules; all
+     *        other messages go straight to its network. Invalidation
+     *        fan-out and acknowledgements bypass the channel: they
+     *        model short on-chip control wires, and faulting them
+     *        would need ack-level sequencing the paper's protocol does
+     *        not describe.
+     */
+    MemorySystem(EventQueue &eq, ReliableChannel &chan,
+                 const MemParams &params);
 
     /** Register the consistency listener for processor @p p. */
     void setListener(ProcId p, CacheListener *l);
-
-    /**
-     * Attach the fault plane. The directory commit service is the
-     * faulted surface (dir.commit_loss, dir.nack, net.drop/dup of the
-     * W delivery); invalidation fan-out and acknowledgements stay
-     * reliable — they model short on-chip control wires, and faulting
-     * them would need ack-level sequencing the paper's protocol does
-     * not describe.
-     */
-    void setFaultPlane(FaultPlane *fp) { faults = fp; }
 
     /**
      * Issue an access.
@@ -325,27 +311,11 @@ class MemorySystem : public SimObject
     void dirHandleCommit(unsigned dir_idx, ProcId committer,
                          const std::shared_ptr<CommitTxn> &txn);
 
-    /**
-     * (Re)send a commit W to directory @p d, with loss/duplication
-     * injection on the wire, nack injection at arrival, idempotent
-     * delivery (via @p delivered), and — when hardening is armed — a
-     * timeout-driven resend chain with exponential backoff.
-     */
-    void sendCommitW(ProcId committer, unsigned d,
-                     const std::shared_ptr<CommitTxn> &txn,
-                     const std::shared_ptr<Tick> &start,
-                     std::uint64_t id,
-                     const std::shared_ptr<bool> &delivered,
-                     unsigned attempt);
-
     CacheArray::VictimFilter filterFor(ProcId p);
 
     MemParams prm;
+    ReliableChannel &chan;
     Network &net;
-    FaultPlane *faults = nullptr;
-
-    /** Commit-service message ids (dedup/trace labelling). */
-    std::uint64_t nextCommitId = 0;
 
     std::vector<L1> l1s;
     CacheArray l2;
@@ -369,9 +339,6 @@ class MemorySystem : public SimObject
     std::uint64_t nDirAliasUpdates = 0;
     std::uint64_t nDirDisplacements = 0;
     std::uint64_t nFillBypasses = 0;
-    std::uint64_t nCommitResends = 0;
-    std::uint64_t nCommitAbandoned = 0;
-    std::uint64_t nDirNacks = 0;
 
     /** Per-directory W commit service time: signature arrival at the
      *  module to the last invalidation acknowledgement (cycles). */

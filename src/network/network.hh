@@ -100,8 +100,8 @@ class Network : public SimObject
     /**
      * Attach the fault plane. Only net.delay is applied here (uniform
      * extra latency per message, scoped by traffic class and tick
-     * window); loss and duplication are decided at the protocol
-     * layers, which own the retransmission machinery.
+     * window); loss and duplication are the business of the reliable
+     * channel layered on top, which owns the retransmission.
      */
     void setFaultPlane(FaultPlane *fp) { faults = fp; }
 

@@ -24,9 +24,10 @@
  * bulksc_batch worker counts, because each sweep point owns its plane
  * and derives its seed from the point index.
  *
- * The plane only *decides*; the protocol layers (network, arbiters,
- * directory commit service) own the mechanics of dropping, duplicating
- * or delaying their messages and of surviving the result.
+ * The plane only *decides*. The network applies delays; the reliable
+ * channel (network/reliable_channel.hh) drops, duplicates and refuses
+ * the commit protocol's messages and recovers from the result; the
+ * arbiter applies arb.skip_collision.
  */
 
 #ifndef BULKSC_SIM_FAULT_PLANE_HH
@@ -111,7 +112,7 @@ class FaultPlane
     /**
      * True iff the configured points include a kind that loses or
      * duplicates protocol messages — i.e. one that requires the
-     * timeout/resend hardening to be armed for liveness.
+     * reliable channel's retransmission to be armed for liveness.
      */
     bool requiresHardening() const;
 

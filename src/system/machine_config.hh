@@ -13,7 +13,7 @@
 #include "core/bulk_processor.hh"
 #include "cpu/processor_base.hh"
 #include "mem/memory_system.hh"
-#include "network/network.hh"
+#include "network/reliable_channel.hh"
 
 namespace bulksc {
 
@@ -101,6 +101,7 @@ struct MachineConfig
     CpuParams cpu;
     MemParams mem;
     NetworkConfig net;
+    ChannelParams channel;
     BulkParams bulk;
 
     /** Arbiter signature-check latency; with the network hops this
@@ -131,21 +132,8 @@ struct MachineConfig
     /** Seed for the fault plane's deterministic decisions. */
     std::uint64_t faultSeed = 1;
 
-    /** Force the hardened (sequence numbers + timeout/resend)
-     *  protocol even when the fault plane cannot lose messages. */
-    bool harden = false;
-
     /** Forward-progress watchdog (off by default; tools enable it). */
     WatchdogConfig watchdog;
-
-    /**
-     * Deprecated alias for "arb.skip_collision=N" in @ref faults:
-     * grant every Nth commit request that should have been denied for
-     * a signature collision (0 = off). Folded into the fault plane by
-     * System. Only supported with the central arbiter
-     * (numArbiters <= 1).
-     */
-    unsigned faultSkipArbEvery = 0;
 
     /**
      * Check the configuration for inconsistent geometry. On failure

@@ -346,35 +346,26 @@ OptionRegistry::OptionRegistry()
               },
               [](const SimOptions &o) { return o.cfg.faultSeed; });
 
-    b.flag("harden",
-           "force the hardened protocol (sequence numbers, timeout/"
-           "resend) even when the fault plane cannot lose messages",
-           kAll, true,
-           [](SimOptions &o, bool v) { o.cfg.harden = v; },
-           [](const SimOptions &o) { return o.cfg.harden; });
-
     b.uintSet("max-resend", "N",
-              "hardened protocol: give up a request after N "
+              "lossy faults: give up a commit message after N "
               "retransmissions",
               kAll, true,
               [](SimOptions &o, std::uint64_t v) {
-                  o.cfg.bulk.maxResend = static_cast<unsigned>(v);
-                  o.cfg.mem.maxResend = static_cast<unsigned>(v);
+                  o.cfg.channel.maxResend = static_cast<unsigned>(v);
               },
               [](const SimOptions &o) {
-                  return std::uint64_t{o.cfg.bulk.maxResend};
+                  return std::uint64_t{o.cfg.channel.maxResend};
               });
 
     b.uintSet("resend-timeout", "N",
-              "hardened protocol: base retransmission timeout in "
-              "ticks (doubles per attempt)",
+              "lossy faults: base retransmission timeout in ticks "
+              "(doubles per attempt)",
               kAll, true,
               [](SimOptions &o, std::uint64_t v) {
-                  o.cfg.bulk.resendTimeout = v;
-                  o.cfg.mem.resendTimeout = v;
+                  o.cfg.channel.resendTimeout = v;
               },
               [](const SimOptions &o) {
-                  return std::uint64_t{o.cfg.bulk.resendTimeout};
+                  return std::uint64_t{o.cfg.channel.resendTimeout};
               });
 
     b.flag("watchdog",
@@ -446,17 +437,6 @@ OptionRegistry::OptionRegistry()
                  return o.cfg.watchdog.dumpPath;
              });
 
-    b.uintSet("inject-skip-arb", "N",
-              "deprecated alias for --faults arb.skip_collision=N: "
-              "grant every Nth colliding commit request (0 = off)",
-              kSim, true,
-              [](SimOptions &o, std::uint64_t v) {
-                  o.cfg.faultSkipArbEvery = static_cast<unsigned>(v);
-              },
-              [](const SimOptions &o) {
-                  return std::uint64_t{o.cfg.faultSkipArbEvery};
-              });
-
     b.strSet(
         "check", "LIST",
         "correctness checkers, comma-separated: axiomatic | race | "
@@ -487,13 +467,6 @@ OptionRegistry::OptionRegistry()
             return true;
         },
         [](const SimOptions &o) { return o.checks.str(); });
-
-    b.flag("verify", "alias for --check replay", kSim, false,
-           [](SimOptions &o, bool v) {
-               if (v)
-                   o.checks.replay = true;
-           },
-           [](const SimOptions &o) { return o.checks.replay; });
 
     b.str("save-traces", "FILE",
           "write the generated trace bundle to FILE", kSim, false,

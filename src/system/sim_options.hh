@@ -29,7 +29,7 @@
 
 namespace bulksc {
 
-/** Correctness checkers selected with --check (and --verify). */
+/** Correctness checkers selected with --check. */
 struct CheckSet
 {
     bool axiomatic = false; //!< SC as acyclicity of po∪rf∪co∪fr

@@ -18,9 +18,8 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
         cfg.numProcs = static_cast<unsigned>(traces.size());
     cfg.resolve();
 
-    // Fault plane: parse the spec, fold in the deprecated
-    // inject-skip-arb alias, and derive whether the hardened
-    // (sequence numbers + timeout/resend) protocol is needed.
+    // Fault plane. The reliable channel built on it below arms
+    // retransmission iff the plane can lose or duplicate messages.
     {
         std::vector<FaultPoint> pts;
         if (!cfg.faults.empty()) {
@@ -28,33 +27,23 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
             fatal_if(!FaultPlane::parseSpec(cfg.faults, pts, err),
                      "faults: ", err);
         }
-        if (cfg.faultSkipArbEvery) {
-            FaultPoint pt;
-            pt.kind = FaultKind::ArbSkipCollision;
-            pt.everyN = cfg.faultSkipArbEvery;
-            pts.push_back(pt);
-        }
         faults.configure(std::move(pts), cfg.faultSeed);
     }
-    if (faults.requiresHardening())
-        cfg.harden = true;
-    cfg.bulk.harden = cfg.harden;
-    cfg.mem.harden = cfg.harden;
 
     const unsigned np = cfg.numProcs;
     const unsigned nd = cfg.mem.numDirectories;
 
     net = std::make_unique<Network>(eq, cfg.net);
-    memSys = std::make_unique<MemorySystem>(eq, *net, cfg.mem);
-    if (faults.active()) {
+    if (faults.active())
         net->setFaultPlane(&faults);
-        memSys->setFaultPlane(&faults);
-    }
+    chan = std::make_unique<ReliableChannel>(eq, *net, faults,
+                                             cfg.channel, np, nd);
+    memSys = std::make_unique<MemorySystem>(eq, *chan, cfg.mem);
 
     if (isBulk(cfg.model)) {
         if (cfg.numArbiters <= 1) {
             auto a = std::make_unique<Arbiter>(
-                eq, *net, np + nd, cfg.arbProcessing, cfg.bulk.rsigOpt,
+                eq, *chan, np + nd, cfg.arbProcessing, cfg.bulk.rsigOpt,
                 cfg.maxSimulCommits);
             if (faults.active())
                 a->setFaultPlane(&faults);
@@ -63,12 +52,9 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
             fatal_if(faults.has(FaultKind::ArbSkipCollision),
                      "arb.skip_collision injection needs the central "
                      "arbiter (numArbiters <= 1)");
-            auto a = std::make_unique<DistributedArbiter>(
-                eq, *net, np + nd, cfg.numArbiters, cfg.arbProcessing,
+            arb = std::make_unique<DistributedArbiter>(
+                eq, *chan, np + nd, cfg.numArbiters, cfg.arbProcessing,
                 cfg.bulk.rsigOpt);
-            if (faults.active())
-                a->setFaultPlane(&faults);
-            arb = std::move(a);
         }
     }
 
@@ -95,7 +81,7 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
           default:
             procs.push_back(std::make_unique<BulkProcessor>(
                 eq, name, p, *memSys, traces[p], cfg.cpu, cfg.bulk,
-                *arb));
+                *arb, *chan));
             break;
         }
     }
@@ -164,6 +150,7 @@ System::stateFingerprint() const
         h = mix64(h ^ p->fingerprint());
     if (arb)
         h = mix64(h ^ arb->fingerprint());
+    h = mix64(h ^ chan->fingerprint());
     return mix64(h ^ memSys->fingerprint());
 }
 
@@ -263,6 +250,14 @@ System::collectStats(Results &res) const
            static_cast<double>(net->queueingCycles()));
 
     memSys->dumpStats(sg);
+    const ChannelStats &cs = chan->stats();
+    if (cs.commitResends || cs.commitAbandoned || cs.dirNacks) {
+        sg.set("mem.commit_resends",
+               static_cast<double>(cs.commitResends));
+        sg.set("mem.commit_abandoned",
+               static_cast<double>(cs.commitAbandoned));
+        sg.set("mem.dir_nacks", static_cast<double>(cs.dirNacks));
+    }
 
     // Processor aggregates.
     double retired = 0, wasted = 0, squashes = 0, spin = 0;
@@ -281,7 +276,7 @@ System::collectStats(Results &res) const
                                 : 0.0);
 
     if (faults.active()) {
-        sg.set("faults.harden", cfg.harden ? 1 : 0);
+        sg.set("faults.harden", chan->hardened() ? 1 : 0);
         faults.dumpStats(sg, "faults.");
     }
     if (dog) {
@@ -319,12 +314,9 @@ System::collectStats(Results &res) const
         agg.trueConflictSquashes += b.trueConflictSquashes;
         agg.falsePositiveSquashes += b.falsePositiveSquashes;
         agg.unattributedSquashes += b.unattributedSquashes;
-        agg.resends += b.resends;
-        agg.resendGiveUps += b.resendGiveUps;
         agg.arbLatency.merge(b.arbLatency);
         agg.squashRestart.merge(b.squashRestart);
         agg.squashChunkSize.merge(b.squashChunkSize);
-        agg.resendAttempts.merge(b.resendAttempts);
     }
     double commits = static_cast<double>(agg.commits);
     sg.set("bulk.commits", commits);
@@ -369,11 +361,11 @@ System::collectStats(Results &res) const
     agg.arbLatency.dumpInto(sg, "bulk.arb_latency.");
     agg.squashRestart.dumpInto(sg, "bulk.squash_restart.");
     agg.squashChunkSize.dumpInto(sg, "bulk.squash_chunk_size.");
-    if (cfg.harden) {
-        sg.set("bulk.resends", static_cast<double>(agg.resends));
+    if (chan->hardened()) {
+        sg.set("bulk.resends", static_cast<double>(cs.resends));
         sg.set("bulk.resend_give_ups",
-               static_cast<double>(agg.resendGiveUps));
-        agg.resendAttempts.dumpInto(sg, "bulk.resend_attempts.");
+               static_cast<double>(cs.resendGiveUps));
+        cs.resendAttempts.dumpInto(sg, "bulk.resend_attempts.");
     }
 
     if (verifier) {
@@ -414,11 +406,11 @@ System::collectStats(Results &res) const
         as.occupancy.dumpInto(sg, "arb.commit_occupancy.");
         if (faults.active()) {
             sg.set("arb.dup_requests",
-                   static_cast<double>(as.dupRequests));
+                   static_cast<double>(cs.dupRequests));
             sg.set("arb.lost_requests",
-                   static_cast<double>(as.lostRequests));
+                   static_cast<double>(cs.lostRequests));
             sg.set("arb.lost_replies",
-                   static_cast<double>(as.lostReplies));
+                   static_cast<double>(cs.lostReplies));
         }
     }
 }

@@ -116,14 +116,16 @@ class System
 
     /**
      * Digest of the machine's protocol state (processors, arbiter,
-     * memory system) for explorer revisit pruning. Timing state is
-     * deliberately excluded — see the component fingerprints.
+     * reliable channel, memory system) for explorer revisit pruning.
+     * Timing state is deliberately excluded — see the component
+     * fingerprints.
      */
     std::uint64_t stateFingerprint() const;
 
     // --- component access for tests and benches ---
     MemorySystem &memory() { return *memSys; }
     Network &network() { return *net; }
+    ReliableChannel &channel() { return *chan; }
     ArbiterIface *arbiter() { return arb.get(); }
     FaultPlane &faultPlane() { return faults; }
     const Watchdog *watchdog() const { return dog.get(); }
@@ -144,6 +146,7 @@ class System
     EventQueue eq;
     FaultPlane faults;
     std::unique_ptr<Network> net;
+    std::unique_ptr<ReliableChannel> chan;
     std::unique_ptr<MemorySystem> memSys;
     std::unique_ptr<ArbiterIface> arb;
     std::vector<std::unique_ptr<ProcessorBase>> procs;

@@ -15,8 +15,23 @@ struct Harness
 {
     Harness(bool rsig = true, unsigned max_commits = 8)
         : net(eq, NetworkConfig{}),
-          arb(eq, net, 9, /*processing=*/5, rsig, max_commits)
+          chan(eq, net, faults, ChannelParams{}, /*num_procs=*/8,
+               /*num_dirs=*/1),
+          arb(eq, chan, 9, /*processing=*/5, rsig, max_commits)
     {}
+
+    /** Send one commit request through the (fault-free) channel. */
+    void
+    submit(ProcId p, std::shared_ptr<Signature> w, RProvider rp,
+           std::function<void(bool)> on_reply)
+    {
+        chan.call(
+            p, 0,
+            [this, p, w, rp](const ReliableChannel::ReplyPort &port) {
+                arb.requestCommit(p, w, rp, port);
+            },
+            std::move(on_reply));
+    }
 
     std::shared_ptr<Signature>
     sig(std::initializer_list<LineAddr> lines)
@@ -34,8 +49,8 @@ struct Harness
     {
         bool granted = false;
         bool replied = false;
-        arb.requestCommit(
-            p, ++txn, std::move(w), [r] { return r; },
+        submit(
+            p, std::move(w), [r] { return r; },
             [&](bool ok) {
                 granted = ok;
                 replied = true;
@@ -46,9 +61,10 @@ struct Harness
     }
 
     EventQueue eq;
+    FaultPlane faults;
     Network net;
+    ReliableChannel chan;
     Arbiter arb;
-    std::uint64_t txn = 0; //!< fresh transaction id per request
 };
 
 TEST(Arbiter, GrantsWhenListEmpty)
@@ -149,8 +165,8 @@ TEST(Arbiter, SquashedChunkDeniedViaNullR)
     ASSERT_TRUE(h.request(0, h.sig({}), h.sig({100})));
     // Second requester's chunk vanished before R could be supplied.
     bool granted = true;
-    h.arb.requestCommit(
-        1, ++h.txn, h.sig({200}),
+    h.submit(
+        1, h.sig({200}),
         [] { return std::shared_ptr<Signature>(); },
         [&](bool ok) { granted = ok; });
     h.eq.run();
@@ -200,11 +216,11 @@ TEST(Arbiter, RacingRequestsCheckedAtomically)
     auto wa = h.sig({100});
     auto wb = h.sig({200});
     auto rb = h.sig({100}); // collides with A's W
-    h.arb.requestCommit(
-        0, ++h.txn, wa, [&] { return h.sig({300}); },
+    h.submit(
+        0, wa, [&] { return h.sig({300}); },
         [&](bool ok) { a_granted = ok; });
-    h.arb.requestCommit(
-        1, ++h.txn, wb, [rb] { return rb; },
+    h.submit(
+        1, wb, [rb] { return rb; },
         [&](bool ok) { b_granted = ok; });
     h.eq.run();
     EXPECT_TRUE(a_granted);
@@ -215,67 +231,15 @@ TEST(Arbiter, RacingDisjointRequestsBothGranted)
 {
     Harness h;
     bool a = false, b = false;
-    h.arb.requestCommit(
-        0, ++h.txn, h.sig({100}), [&] { return h.sig({101}); },
+    h.submit(
+        0, h.sig({100}), [&] { return h.sig({101}); },
         [&](bool ok) { a = ok; });
-    h.arb.requestCommit(
-        1, ++h.txn, h.sig({200}), [&] { return h.sig({201}); },
+    h.submit(
+        1, h.sig({200}), [&] { return h.sig({201}); },
         [&](bool ok) { b = ok; });
     h.eq.run();
     EXPECT_TRUE(a);
     EXPECT_TRUE(b);
-}
-
-TEST(Arbiter, DuplicateRequestAnsweredFromDecisionCache)
-{
-    // A retransmitted request (same proc, same txn) must be answered
-    // from the cached decision, never re-decided: a granted W is
-    // already in the list and would collide with itself.
-    Harness h;
-    auto w = h.sig({100});
-    bool granted = false;
-    h.arb.requestCommit(
-        0, 1, w, [&] { return h.sig({}); },
-        [&](bool ok) { granted = ok; });
-    h.eq.run();
-    ASSERT_TRUE(granted);
-    ASSERT_EQ(h.arb.pendingW(), 1u);
-
-    bool re_granted = false;
-    h.arb.requestCommit(
-        0, 1, w, [&] { return h.sig({}); },
-        [&](bool ok) { re_granted = ok; });
-    h.eq.run();
-    EXPECT_TRUE(re_granted); // cached grant, not a self-collision
-    EXPECT_EQ(h.arb.stats().dupRequests, 1u);
-    EXPECT_EQ(h.arb.pendingW(), 1u); // W not inserted twice
-    EXPECT_EQ(h.arb.stats().grants, 1u);
-}
-
-TEST(Arbiter, DuplicateOfDenialResendsDenial)
-{
-    Harness h;
-    ASSERT_TRUE(h.request(0, h.sig({}), h.sig({100})));
-    auto deny_w = h.sig({100});
-    bool granted = true;
-    h.arb.requestCommit(
-        1, 5, deny_w, [&] { return h.sig({}); },
-        [&](bool ok) { granted = ok; });
-    h.eq.run();
-    ASSERT_FALSE(granted);
-    // Retransmission of the denied txn: cached denial comes back.
-    bool re_granted = true;
-    bool replied = false;
-    h.arb.requestCommit(
-        1, 5, deny_w, [&] { return h.sig({}); },
-        [&](bool ok) {
-            re_granted = ok;
-            replied = true;
-        });
-    h.eq.run();
-    EXPECT_TRUE(replied);
-    EXPECT_FALSE(re_granted);
-    EXPECT_EQ(h.arb.stats().denials, 1u); // decided exactly once
 }
 
 TEST(Arbiter, TimeWeightedStats)

@@ -15,7 +15,9 @@ struct Harness
 {
     explicit Harness(unsigned modules = 4)
         : net(eq, NetworkConfig{}),
-          arb(eq, net, 16, modules, /*processing=*/5, /*rsig=*/true)
+          chan(eq, net, faults, ChannelParams{}, /*num_procs=*/8,
+               /*num_dirs=*/8),
+          arb(eq, chan, 16, modules, /*processing=*/5, /*rsig=*/true)
     {}
 
     std::shared_ptr<Signature>
@@ -32,17 +34,21 @@ struct Harness
             std::shared_ptr<Signature> w)
     {
         bool granted = false;
-        arb.requestCommit(
-            p, ++txn, std::move(w), [r] { return r; },
+        chan.call(
+            p, 0,
+            [this, p, w, r](const ReliableChannel::ReplyPort &port) {
+                arb.requestCommit(p, w, [r] { return r; }, port);
+            },
             [&](bool ok) { granted = ok; });
         eq.run();
         return granted;
     }
 
     EventQueue eq;
+    FaultPlane faults;
     Network net;
+    ReliableChannel chan;
     DistributedArbiter arb;
-    std::uint64_t txn = 0; //!< fresh transaction id per request
 };
 
 TEST(DistributedArbiter, SingleRangeCommitUsesOneModule)

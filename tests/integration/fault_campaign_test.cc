@@ -12,6 +12,7 @@
 #include <string>
 
 #include "analysis/analysis_engine.hh"
+#include "system/sim_options.hh"
 #include "system/sweep_runner.hh"
 #include "system/system.hh"
 #include "workload/app_profiles.hh"
@@ -100,6 +101,50 @@ TEST(FaultCampaign, AppWorkloadCleanUnderFaults)
     EXPECT_GT(r.stats.get("faults.net.delay.injected"), 0.0);
     EXPECT_GT(r.stats.get("bulk.resends"), 0.0);
     EXPECT_EQ(r.stats.get("bulk.resend_give_ups"), 0.0);
+}
+
+TEST(FaultCampaign, DistributedArbiterCleanUnderFaults)
+{
+    // The EXPERIMENTS.md campaign with four arbiter modules, run as
+    // bulksc_sim runs it: the processor-facing requests and replies of
+    // every module and the G-arbiter ride the reliable channel.
+    const char *mix = "net.drop=0.05,net.dup=0.02,net.delay=0.2:1:50,"
+                      "arb.req_loss=0.02,arb.grant_loss=0.02,"
+                      "dir.nack=0.05";
+    auto machine = [&](std::uint64_t fault_seed) {
+        SimOptions o; // the tools' defaults
+        o.cfg.numArbiters = 4;
+        o.cfg.faults = mix;
+        o.cfg.faultSeed = fault_seed;
+        return o.cfg;
+    };
+
+    for (const char *name : {"sb", "mp", "iriw", "corr", "2+2w"}) {
+        LitmusTest lt;
+        ASSERT_TRUE(litmusByName(name, 0, lt));
+        MachineConfig cfg = machine(3);
+        cfg.numProcs = static_cast<unsigned>(lt.traces.size());
+        System sys(cfg, lt.traces);
+        sys.enableAnalysis();
+        Results r = sys.run();
+        ASSERT_TRUE(r.completed) << name << ": " << r.watchdogReport;
+        EXPECT_EQ(r.watchdogVerdict, WatchdogVerdict::None) << name;
+        EXPECT_TRUE(sys.analysis()->scOk()) << name;
+        EXPECT_TRUE(lt.allowedSC(r.loadResults)) << name;
+        EXPECT_EQ(r.stats.get("bulk.resend_give_ups", -1), 0.0) << name;
+    }
+
+    MachineConfig cfg = machine(42);
+    cfg.numProcs = 4;
+    System sys(cfg, generateTraces(profileByName("ocean"), 4, 20'000));
+    sys.enableAnalysis(true, true);
+    Results r = sys.run();
+    ASSERT_TRUE(r.completed) << r.watchdogReport;
+    EXPECT_EQ(r.watchdogVerdict, WatchdogVerdict::None);
+    EXPECT_TRUE(sys.analysis()->scOk());
+    EXPECT_EQ(sys.analysis()->raceCount(), 0u);
+    EXPECT_GT(r.stats.get("bulk.resends"), 0.0);
+    EXPECT_EQ(r.stats.get("bulk.resend_give_ups", -1), 0.0);
 }
 
 TEST(FaultCampaign, SameFaultSeedSameRun)

@@ -50,10 +50,13 @@ makeTrace(std::vector<Op> ops)
 TEST(MultiDirectory, LinesInterleaveAcrossModules)
 {
     EventQueue eq;
+    FaultPlane faults;
     Network net(eq, NetworkConfig{});
     MemParams p;
     p.numDirectories = 4;
-    MemorySystem mem(eq, net, p);
+    ReliableChannel chan(eq, net, faults, ChannelParams{}, p.numProcs,
+                         p.numDirectories);
+    MemorySystem mem(eq, chan, p);
     EXPECT_EQ(mem.numDirs(), 4u);
     // 32 KB (1024-line) granules interleave across the modules.
     EXPECT_EQ(mem.dirOf(0), 0u);

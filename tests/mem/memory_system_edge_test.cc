@@ -16,11 +16,16 @@ namespace {
 struct Harness
 {
     explicit Harness(MemParams p = MemParams{})
-        : net(eq, NetworkConfig{}), mem(eq, net, p)
+        : net(eq, NetworkConfig{}),
+          chan(eq, net, faults, ChannelParams{}, p.numProcs,
+               p.numDirectories),
+          mem(eq, chan, p)
     {}
 
     EventQueue eq;
+    FaultPlane faults;
     Network net;
+    ReliableChannel chan;
     MemorySystem mem;
 };
 
@@ -185,10 +190,12 @@ TEST(MemorySystemEdge, BouncedReadEventuallyCompletes)
 TEST(MemorySystemEdge, InvalidNumProcsIsFatal)
 {
     EventQueue eq;
+    FaultPlane faults;
     Network net(eq, NetworkConfig{});
     MemParams p;
     p.numProcs = 0;
-    EXPECT_EXIT({ MemorySystem bad(eq, net, p); },
+    ReliableChannel chan(eq, net, faults, ChannelParams{}, 0, 1);
+    EXPECT_EXIT({ MemorySystem bad(eq, chan, p); },
                 ::testing::ExitedWithCode(1), "numProcs");
 }
 

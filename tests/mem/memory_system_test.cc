@@ -15,11 +15,16 @@ namespace {
 struct Harness
 {
     Harness(MemParams p = MemParams{})
-        : net(eq, NetworkConfig{}), mem(eq, net, p)
+        : net(eq, NetworkConfig{}),
+          chan(eq, net, faults, ChannelParams{}, p.numProcs,
+               p.numDirectories),
+          mem(eq, chan, p)
     {}
 
     EventQueue eq;
+    FaultPlane faults;
     Network net;
+    ReliableChannel chan;
     MemorySystem mem;
 };
 

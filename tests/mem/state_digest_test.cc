@@ -212,8 +212,10 @@ INSTANTIATE_TEST_SUITE_P(FullMapAndDirCache, DirectoryDigest,
 TEST(ValueStoreDigest, MatchesFullScanAfterEveryWrite)
 {
     EventQueue eq;
+    FaultPlane faults;
     Network net(eq, NetworkConfig{});
-    MemorySystem m(eq, net, MemParams{});
+    ReliableChannel chan(eq, net, faults, ChannelParams{}, 8, 1);
+    MemorySystem m(eq, chan, MemParams{});
     std::set<Addr> written;
     Rng rng(5);
     for (int step = 0; step < 4000; ++step) {
@@ -231,9 +233,11 @@ TEST(ValueStoreDigest, FingerprintIgnoresWriteHistory)
 {
     // Equal final stores fingerprint equal, however they were reached.
     EventQueue eq;
+    FaultPlane faults;
     Network net(eq, NetworkConfig{});
-    MemorySystem a(eq, net, MemParams{});
-    MemorySystem b(eq, net, MemParams{});
+    ReliableChannel chan(eq, net, faults, ChannelParams{}, 8, 1);
+    MemorySystem a(eq, chan, MemParams{});
+    MemorySystem b(eq, chan, MemParams{});
     a.writeValue(0x40, 1);
     a.writeValue(0x80, 2);
     a.writeValue(0x40, 3);
