@@ -3,11 +3,13 @@
  * Microbenchmarks (google-benchmark) of the signature primitive
  * operations of the paper's Figure 2: insertion, membership,
  * intersection, union, decode, and compression — the operations the
- * BDM, arbiter, and DirBDM perform on every access/commit.
+ * BDM, arbiter, and DirBDM perform on every access/commit — plus a
+ * chunk's signature construction and DirBDM signature expansion.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "mem/directory.hh"
 #include "signature/signature.hh"
 #include "sim/rng.hh"
 
@@ -105,6 +107,49 @@ BM_SignatureCompressedBits(benchmark::State &state)
         benchmark::DoNotOptimize(s.compressedBits());
 }
 BENCHMARK(BM_SignatureCompressedBits)->Arg(4)->Arg(64);
+
+void
+BM_SignatureConstruct(benchmark::State &state)
+{
+    // A chunk's R, W and W_priv signatures (the Chunk constructor).
+    SignatureConfig cfg;
+    for (auto _ : state) {
+        Signature r(cfg), w(cfg), wpriv(cfg);
+        benchmark::DoNotOptimize(r);
+        benchmark::DoNotOptimize(w);
+        benchmark::DoNotOptimize(wpriv);
+    }
+}
+BENCHMARK(BM_SignatureConstruct);
+
+void
+BM_DirectoryExpand(benchmark::State &state)
+{
+    // 64k distinct reads, into a full map (arg 0) or a directory cache
+    // of arg entries, then expansions of 20-line W signatures drawn
+    // from the same lines. The committer (proc 0) shares none of them,
+    // so every expansion leaves the directory unchanged.
+    SignatureConfig cfg;
+    Directory dir(cfg, 8, static_cast<std::size_t>(state.range(0)));
+    std::vector<DirDisplacement> disp;
+    std::vector<LineAddr> lines;
+    Rng rng(12);
+    for (unsigned i = 0; i < 65536; ++i) {
+        lines.push_back(rng.next() & 0xFFFFFF);
+        dir.recordRead(lines.back(), 1 + i % 7, disp);
+    }
+    std::vector<Signature> ws;
+    for (unsigned k = 0; k < 64; ++k) {
+        Signature w(cfg);
+        for (unsigned i = 0; i < 20; ++i)
+            w.insert(lines[rng.below(lines.size())]);
+        ws.push_back(w);
+    }
+    std::size_t k = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dir.expand(ws[k++ % ws.size()], 0));
+}
+BENCHMARK(BM_DirectoryExpand)->Arg(0)->Arg(4096);
 
 } // namespace
 

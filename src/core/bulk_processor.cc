@@ -239,23 +239,38 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
 bool
 BulkProcessor::wouldOverflowSet(LineAddr line) const
 {
-    const unsigned assoc = mem.params().l1.assoc;
-    const std::uint64_t num_sets = mem.params().l1.numSets();
-    std::unordered_set<LineAddr> set_lines;
+    // Re-writing an already-speculative line needs no new way.
     for (const auto &ch : chunks) {
-        for (LineAddr l : ch->wLines) {
-            if (l % num_sets == line % num_sets)
-                set_lines.insert(l);
+        if (ch->wLines.count(line) || ch->wprivLines.count(line))
+            return false;
+    }
+    const unsigned assoc = mem.params().l1.assoc;
+    // The L1 (a CacheArray) has validated a power-of-two set count.
+    const std::uint64_t set_mask = mem.params().l1.numSets() - 1;
+    // A line may sit in several live write sets; count it only in the
+    // first one (chunk order, W before W_priv) that holds it.
+    auto held_earlier = [&](std::size_t ci, bool priv, LineAddr l) {
+        if (priv && chunks[ci]->wLines.count(l))
+            return true;
+        for (std::size_t k = 0; k < ci; ++k) {
+            if (chunks[k]->wLines.count(l) || chunks[k]->wprivLines.count(l))
+                return true;
         }
-        for (LineAddr l : ch->wprivLines) {
-            if (l % num_sets == line % num_sets)
-                set_lines.insert(l);
+        return false;
+    };
+    unsigned others = 0;
+    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+        for (bool priv : {false, true}) {
+            const auto &lines =
+                priv ? chunks[ci]->wprivLines : chunks[ci]->wLines;
+            for (LineAddr l : lines) {
+                if (((l ^ line) & set_mask) == 0 &&
+                    !held_earlier(ci, priv, l) && ++others >= assoc - 1)
+                    return true;
+            }
         }
     }
-    // Re-writing an already-speculative line needs no new way.
-    if (set_lines.count(line))
-        return false;
-    return set_lines.size() >= assoc - 1;
+    return others >= assoc - 1;
 }
 
 void

@@ -1,5 +1,7 @@
 #include "mem/directory.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
@@ -47,8 +49,13 @@ Directory::getOrCreate(LineAddr line,
                 victim, vit->second.sharers, vit->second.dirty,
                 vit->second.owner});
             digest -= entryDigest(victim, vit->second);
+            auto &bucket = buckets[bucketOf(victim)];
+            auto pos = std::find_if(
+                bucket.begin(), bucket.end(),
+                [victim](const auto &b) { return b.first == victim; });
+            *pos = bucket.back();
+            bucket.pop_back();
             entries.erase(vit);
-            buckets[bucketOf(victim)].erase(victim);
             break;
         }
         if (fifoHead > 4096 && fifoHead * 2 > fifo.size()) {
@@ -60,7 +67,7 @@ Directory::getOrCreate(LineAddr line,
 
     DirEntry &e = entries[line];
     digest += entryDigest(line, e);
-    buckets[bucketOf(line)].insert(line);
+    buckets[bucketOf(line)].emplace_back(line, &e);
     if (maxEntries)
         fifo.push_back(line);
     return e;
@@ -122,54 +129,53 @@ Directory::expand(const Signature &w, ProcId committer)
 
     // Delta-decode bank 0 to find the candidate buckets, then probe
     // each resident line for full membership — the hardware equivalent
-    // of the directed tag lookups of signature expansion.
-    std::vector<LineAddr> candidates;
+    // of the directed tag lookups of signature expansion. Entries are
+    // independent and every result is an OR or a sum, so the order in
+    // which a bucket lists its lines does not matter.
     for (std::uint32_t idx : w.decodeBank0()) {
-        for (LineAddr line : buckets[idx]) {
-            if (w.contains(line))
-                candidates.push_back(line);
-        }
-    }
-
-    for (LineAddr line : candidates) {
-        ++res.lookups;
-        // Aliasing stats (Table 4) need the exact mirror; without it
-        // every lookup counts as genuine.
-        bool truly_written =
-            !w.tracksExact() || w.containsExact(line);
-        if (!truly_written)
-            ++res.aliasLookups;
-
-        DirEntry &e = entries.at(line);
-
-        // Table 1: the four possible states of a selected entry.
-        if (!e.dirty && !e.isSharer(committer)) {
-            // Case 1: false positive — the committing processor would
-            // have fetched the line and be in the bit vector already.
-            continue;
-        }
-        if (!e.dirty && e.isSharer(committer)) {
-            // Case 2: committing processor becomes the owner; all other
-            // sharers join the Invalidation List.
-            res.invalidationList |= e.sharers & ~(1u << committer);
-            update(line, e, [committer](DirEntry &d) {
-                d.sharers = 1u << committer;
-                d.dirty = true;
-                d.owner = committer;
-            });
-            ++res.updates;
+        for (auto [line, entry] : buckets[idx]) {
+            if (!w.contains(line))
+                continue;
+            ++res.lookups;
+            // Aliasing stats (Table 4) need the exact mirror; without
+            // it every lookup counts as genuine.
+            bool truly_written =
+                !w.tracksExact() || w.containsExact(line);
             if (!truly_written)
-                ++res.aliasUpdates;
-            continue;
+                ++res.aliasLookups;
+
+            DirEntry &e = *entry;
+
+            // Table 1: the four possible states of a selected entry.
+            if (!e.dirty && !e.isSharer(committer)) {
+                // Case 1: false positive — the committing processor
+                // would have fetched the line and be in the bit vector
+                // already.
+                continue;
+            }
+            if (!e.dirty && e.isSharer(committer)) {
+                // Case 2: committing processor becomes the owner; all
+                // other sharers join the Invalidation List.
+                res.invalidationList |= e.sharers & ~(1u << committer);
+                update(line, e, [committer](DirEntry &d) {
+                    d.sharers = 1u << committer;
+                    d.dirty = true;
+                    d.owner = committer;
+                });
+                ++res.updates;
+                if (!truly_written)
+                    ++res.aliasUpdates;
+                continue;
+            }
+            if (e.dirty && !e.isSharer(committer)) {
+                // Case 3: false positive — do nothing.
+                continue;
+            }
+            // Case 4: dirty and committing proc is a sharer. If the proc
+            // is already the owner there is nothing to do; a dirty entry
+            // owned by someone else with the committer as sharer cannot
+            // occur in this protocol (dirty implies a single sharer).
         }
-        if (e.dirty && !e.isSharer(committer)) {
-            // Case 3: false positive — do nothing.
-            continue;
-        }
-        // Case 4: dirty and committing proc is a sharer. If the proc is
-        // already the owner there is nothing to do; a dirty entry owned
-        // by someone else with the committer as sharer cannot occur in
-        // this protocol (dirty implies a single sharer).
     }
     return res;
 }

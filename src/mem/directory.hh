@@ -15,6 +15,14 @@
  *    a displacement, produces a one-line signature that the memory
  *    system broadcasts for bulk disambiguation.
  *
+ * Expansion reaches its candidates through buckets indexed by bank-0
+ * index (the low bits of the line). Each bucket is a flat, unordered
+ * vector of (line, entry pointer) pairs: expansion scans contiguous
+ * memory and updates each entry in place, and a displaced entry leaves
+ * its bucket by swap-and-pop. Order within a bucket is immaterial,
+ * because an expansion's results are ORs and sums over independent
+ * entries.
+ *
  * This class holds protocol *state and decisions* only; message timing
  * lives in MemorySystem.
  */
@@ -24,7 +32,7 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "signature/signature.hh"
@@ -165,9 +173,11 @@ class Directory
     std::unordered_map<LineAddr, DirEntry> entries;
     std::uint64_t digest = 0; //!< see fingerprint()
 
-    /** Lines bucketed by signature bank-0 index: the hardware analogue
-     *  is the delta-decode directed tag probe of signature expansion. */
-    std::vector<std::unordered_set<LineAddr>> buckets;
+    /** Resident lines bucketed by signature bank-0 index: the hardware
+     *  analogue is the delta-decode directed tag probe of signature
+     *  expansion. The entry pointers stay valid because unordered_map
+     *  nodes never move on rehash. */
+    std::vector<std::vector<std::pair<LineAddr, DirEntry *>>> buckets;
 
     /** FIFO order for directory-cache displacement. */
     std::vector<LineAddr> fifo;

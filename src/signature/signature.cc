@@ -1,11 +1,90 @@
 #include "signature/signature.hh"
 
 #include <bit>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <tuple>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace bulksc {
+
+SignatureHash::SignatureHash(const SignatureConfig &cfg)
+{
+    // Build the bit permutation (Figure 2(a)): the line address bits
+    // are shuffled once, then sliced into one index per bank. Bank 0
+    // keeps the identity low-order bits so the decode operation can
+    // map set bits back to cache sets. Because banks are *slices of
+    // one permuted address* — not independent hashes — structured
+    // address sets alias realistically, as in the paper's evaluation.
+    const unsigned idx_bits = floorLog2(cfg.bitsPerBank());
+    const unsigned total_src = idx_bits * cfg.numBanks;
+    const std::uint32_t mask = cfg.bitsPerBank() - 1;
+    std::vector<std::uint8_t> permute(total_src);
+    for (unsigned i = 0; i < total_src; ++i)
+        permute[i] = static_cast<std::uint8_t>(i);
+    Rng rng(cfg.hashSeed);
+    for (unsigned i = total_src; i-- > idx_bits + 1;) {
+        // Leave bank 0's slice (positions 0..idx_bits-1) in place.
+        unsigned j = static_cast<unsigned>(
+            idx_bits + rng.below(i - idx_bits + 1));
+        std::swap(permute[i], permute[j]);
+    }
+
+    // The hardware hashes a finite slice of the line address (30 bits
+    // here, a 32 GB reach); higher-order bits are not covered —
+    // address sets that differ only there are indistinguishable to
+    // the signature (one source of the paper's aliasing).
+    auto slice = [&](unsigned b, LineAddr line) {
+        std::uint32_t idx = 0;
+        for (unsigned j = 0; j < idx_bits; ++j) {
+            unsigned src = permute[b * idx_bits + j] % 30;
+            idx |= static_cast<std::uint32_t>((line >> src) & 1) << j;
+        }
+        return idx;
+    };
+    // The last bank XOR-folds two slices: well distributed for diverse
+    // address mixes, but still correlated for strided/structured sets
+    // — which is what produces the realistic signature aliasing of the
+    // paper's evaluation (radix most of all).
+    auto bank_index = [&](unsigned bank, LineAddr line) {
+        if (bank == cfg.numBanks - 1 && cfg.numBanks >= 3) {
+            std::uint32_t a = slice(bank, line);
+            std::uint32_t b = slice(1, line);
+            return (a ^ ((b << 4) | (b >> (idx_bits - 4)))) & mask;
+        }
+        return slice(bank, line);
+    };
+
+    // Both steps are GF(2)-linear in the line's low 30 bits, so the
+    // index of a line is the XOR of its four address bytes' indices.
+    tables.resize(std::size_t{cfg.numBanks} * 4);
+    for (unsigned b = 0; b < cfg.numBanks; ++b) {
+        for (unsigned byte = 0; byte < 4; ++byte) {
+            Table &t = tables[std::size_t{b} * 4 + byte];
+            for (unsigned v = 0; v < 256; ++v)
+                t[v] = bank_index(b, LineAddr{v} << (8 * byte));
+        }
+    }
+}
+
+const SignatureHash *
+SignatureHash::get(const SignatureConfig &cfg)
+{
+    using HashKey = std::tuple<unsigned, unsigned, std::uint64_t>;
+    // Deliberately never destroyed, so no signature outlives its hash.
+    static std::mutex lock;
+    static auto *interned =
+        new std::map<HashKey, std::unique_ptr<const SignatureHash>>;
+    std::lock_guard<std::mutex> guard(lock);
+    auto &slot = (*interned)[HashKey{cfg.totalBits, cfg.numBanks,
+                                     cfg.hashSeed}];
+    if (!slot)
+        slot.reset(new SignatureHash(cfg));
+    return slot.get();
+}
 
 Signature::Signature(const SignatureConfig &c)
     : cfg(c)
@@ -21,60 +100,13 @@ Signature::Signature(const SignatureConfig &c)
              SignatureConfig::kMinFoldedBankBits, " bits per bank");
     wordsPerBank = (cfg.bitsPerBank() + 63) / 64;
     bits.assign(std::size_t{cfg.numBanks} * wordsPerBank, 0);
-
-    // Build the bit permutation (Figure 2(a)): the line address bits
-    // are shuffled once, then sliced into one index per bank. Bank 0
-    // keeps the identity low-order bits so the decode operation can
-    // map set bits back to cache sets. Because banks are *slices of
-    // one permuted address* — not independent hashes — structured
-    // address sets alias realistically, as in the paper's evaluation.
-    const unsigned idx_bits = floorLog2(cfg.bitsPerBank());
-    const unsigned total_src = idx_bits * cfg.numBanks;
-    permute.resize(total_src);
-    for (unsigned i = 0; i < total_src; ++i)
-        permute[i] = static_cast<std::uint8_t>(i);
-    Rng rng(cfg.hashSeed);
-    for (unsigned i = total_src - 1; i > idx_bits; --i) {
-        // Leave bank 0's slice (positions 0..idx_bits-1) in place.
-        unsigned j = static_cast<unsigned>(
-            idx_bits + rng.below(i - idx_bits + 1));
-        std::swap(permute[i], permute[j]);
-    }
-}
-
-std::uint32_t
-Signature::bankIndex(unsigned bank, LineAddr line) const
-{
-    const unsigned idx_bits = floorLog2(cfg.bitsPerBank());
-    const std::uint32_t mask = cfg.bitsPerBank() - 1;
-    // The hardware hashes a finite slice of the line address (30 bits
-    // here, a 32 GB reach); higher-order bits are not covered —
-    // address sets that differ only there are indistinguishable to
-    // the signature (one source of the paper's aliasing).
-    auto slice = [&](unsigned b) {
-        std::uint32_t idx = 0;
-        for (unsigned j = 0; j < idx_bits; ++j) {
-            unsigned src = permute[b * idx_bits + j] % 30;
-            idx |= static_cast<std::uint32_t>((line >> src) & 1) << j;
-        }
-        return idx;
-    };
-    // The last bank XOR-folds two slices: well distributed for diverse
-    // address mixes, but still correlated for strided/structured sets
-    // — which is what produces the realistic signature aliasing of the
-    // paper's evaluation (radix most of all).
-    if (bank == cfg.numBanks - 1 && cfg.numBanks >= 3) {
-        std::uint32_t a = slice(bank);
-        std::uint32_t b = slice(1);
-        return (a ^ ((b << 4) | (b >> (idx_bits - 4)))) & mask;
-    }
-    return slice(bank);
+    hashFn = SignatureHash::get(cfg);
 }
 
 std::uint32_t
 Signature::bank0Index(LineAddr line) const
 {
-    return bankIndex(0, line);
+    return hashFn->index(0, line);
 }
 
 void
@@ -84,7 +116,7 @@ Signature::insert(LineAddr line)
         exactSet.insert(line);
     cachedHash.reset();
     for (unsigned b = 0; b < cfg.numBanks; ++b) {
-        std::uint32_t idx = bankIndex(b, line);
+        std::uint32_t idx = hashFn->index(b, line);
         bits[std::size_t{b} * wordsPerBank + idx / 64] |=
             std::uint64_t{1} << (idx % 64);
     }
@@ -96,7 +128,7 @@ Signature::contains(LineAddr line) const
     if (cfg.exact)
         return containsExact(line);
     for (unsigned b = 0; b < cfg.numBanks; ++b) {
-        std::uint32_t idx = bankIndex(b, line);
+        std::uint32_t idx = hashFn->index(b, line);
         if (!(bits[std::size_t{b} * wordsPerBank + idx / 64] &
               (std::uint64_t{1} << (idx % 64)))) {
             return false;

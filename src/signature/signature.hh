@@ -13,6 +13,15 @@
  * hold members — this is what makes bulk invalidation and directory
  * signature expansion possible without walking the whole cache.
  *
+ * The permute-and-slice of Figure 2(a) is evaluated through lookup
+ * tables. Every output bit of a bank index is one input bit of the
+ * line's low 30 bits, and the last bank's fold XORs two such slices, so
+ * each bank index is a GF(2)-linear function of the line address: the
+ * index of a line is the XOR of the indices of its four address bytes.
+ * SignatureHash fills one 256-entry table per (bank, byte) by running
+ * the permute-and-slice on every byte value, once per geometry and
+ * seed, and all signatures of that geometry share the tables.
+ *
  * Every signature also carries an exact mirror set. In `exact` mode
  * (the paper's BSCexact "magic" alias-free signature) the mirror drives
  * behaviour; in Bloom mode it is simulation metadata used only for
@@ -22,6 +31,7 @@
 #ifndef BULKSC_SIGNATURE_SIGNATURE_HH
 #define BULKSC_SIGNATURE_SIGNATURE_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_set>
@@ -54,7 +64,7 @@ struct SignatureConfig
      */
     bool trackExact = true;
 
-    /** Seed selecting the per-bank hash permutations. */
+    /** Seed selecting the bit permutation of the bank hash. */
     std::uint64_t hashSeed = 0xb01d'5c5cULL;
 
     unsigned bitsPerBank() const { return totalBits / numBanks; }
@@ -62,6 +72,37 @@ struct SignatureConfig
     /** With 3 or more banks the last bank XOR-folds in bank 1's index
      *  rotated by 4 bits, so each bank needs at least this many bits. */
     static constexpr unsigned kMinFoldedBankBits = 16;
+};
+
+/**
+ * The bank-index hash of one signature geometry (totalBits, numBanks,
+ * hashSeed): per-(bank, address byte) lookup tables equal to the
+ * permute-and-slice of Figure 2(a). Immutable once built; obtain one
+ * through get(), which builds each geometry's tables once per process
+ * and hands every caller the same object (thread-safe).
+ */
+class SignatureHash
+{
+  public:
+    /** The shared hash of @p cfg's geometry; never freed. */
+    static const SignatureHash *get(const SignatureConfig &cfg);
+
+    /** Index of @p line in bank @p bank. */
+    std::uint32_t
+    index(unsigned bank, LineAddr line) const
+    {
+        const Table *t = &tables[std::size_t{bank} * 4];
+        return t[0][line & 0xff] ^ t[1][(line >> 8) & 0xff] ^
+               t[2][(line >> 16) & 0xff] ^ t[3][(line >> 24) & 0xff];
+    }
+
+  private:
+    using Table = std::array<std::uint32_t, 256>;
+
+    explicit SignatureHash(const SignatureConfig &cfg);
+
+    /** numBanks * 4 tables, bank-major. */
+    std::vector<Table> tables;
 };
 
 /**
@@ -157,16 +198,18 @@ class Signature
 
     const SignatureConfig &config() const { return cfg; }
 
-  private:
-    std::uint32_t bankIndex(unsigned bank, LineAddr line) const;
+    /** The bank-index hash (shared by every signature of this
+     *  geometry and seed). */
+    const SignatureHash *hashFunction() const { return hashFn; }
 
+  private:
     bool bloomEmpty() const;
 
     SignatureConfig cfg;
     unsigned wordsPerBank;
 
-    /** Bit permutation: slot -> source bit of the line address. */
-    std::vector<std::uint8_t> permute;
+    /** Bank-index tables, shared per geometry and seed. */
+    const SignatureHash *hashFn;
 
     /** Bit storage: numBanks * wordsPerBank 64-bit words. */
     std::vector<std::uint64_t> bits;

@@ -338,6 +338,27 @@ TEST(BulkProcessor, SetOverflowEndsChunkEarly)
     EXPECT_LE(sys.memory().fillBypasses(), 2u);
 }
 
+TEST(BulkProcessor, SetOverflowCountsEachSpeculativeLineOnce)
+{
+    // Under BSCstpvt a stack store puts line X in W_priv and a later
+    // ordinary store puts it in W too. X then takes one L1 way, not
+    // two: with X and Z speculative in a 4-way set, a store to a third
+    // line Y still fits, so all four stores share one chunk.
+    const Addr set_stride = 256 * 32; // 256-set L1, 32-byte lines
+    Op x_stack = store(0, 1, 2);
+    x_stack.stackRef = true;
+    std::vector<Op> ops = {x_stack, store(0, 2, 2), store(set_stride, 3, 2),
+                           store(2 * set_stride, 4, 2), load(0x2000, 50)};
+    MachineConfig cfg;
+    cfg.model = Model::BSCstpvt;
+    cfg.numProcs = 1;
+    ASSERT_EQ(cfg.mem.l1.assoc, 4u);
+    System sys(cfg, {makeTrace(ops)});
+    Results r = sys.run(10'000'000);
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(r.stats.get("bulk.commits"), 1.0);
+}
+
 TEST(BulkProcessor, EndChunkOnSyncShortensLockWindows)
 {
     // With chunk boundaries at synchronization ops, each critical

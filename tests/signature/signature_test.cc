@@ -269,7 +269,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(2048u, 4u),
                       std::make_pair(2048u, 8u),
                       std::make_pair(4096u, 4u),
-                      std::make_pair(8192u, 8u)));
+                      std::make_pair(8192u, 8u),
+                      std::make_pair(2u, 2u))); // 1-bit banks
 
 } // namespace
 } // namespace bulksc
