@@ -229,11 +229,6 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
                        advance();
                    });
     }
-
-    // Keep the chunk from growing past the point where the next
-    // speculative line could not be held (Section 4.1.2).
-    if (wouldOverflowSet(line))
-        c.endReached = true;
 }
 
 bool
@@ -409,7 +404,8 @@ BulkProcessor::advance()
             // way. If the current chunk contributes to the pressure,
             // end it (the store lands in the next chunk); if the
             // pressure comes entirely from a predecessor chunk, wait
-            // for it to commit.
+            // for it to commit. This is the only place where L1 set
+            // overflow ends a chunk (Section 4.1.2).
             LineAddr line = lineOf(op.addr, prm.lineBytes);
             if (wouldOverflowSet(line)) {
                 fatal_if(txnDepth > 0,

@@ -1,10 +1,54 @@
 #include "mem/cache_array.hh"
 
+#include <mutex>
+#include <utility>
+
 #include "sim/rng.hh"
 
 namespace bulksc {
 
 namespace {
+
+/**
+ * Line storage of destroyed arrays, kept for the next array of the
+ * same size. Freed instead, the L2's 6.3 MB tends to go back to the
+ * kernel, and the next System's run would fault its pages in again
+ * as it first touches each set. The list never holds more buffers of
+ * one size than were alive at once.
+ */
+struct SpareLines
+{
+    std::mutex lock;
+    //! (line count, storage), most recently returned last
+    std::vector<std::pair<std::uint64_t, std::unique_ptr<CacheLine[]>>>
+        buffers;
+};
+
+SpareLines &
+spareLines()
+{
+    // Deliberately never destroyed, so an array destroyed during
+    // static destruction can still hand its storage back.
+    static auto *spare = new SpareLines;
+    return *spare;
+}
+
+/** Storage for @p count lines, recycled if possible; unwritten. */
+CacheLine *
+takeLines(std::uint64_t count)
+{
+    SpareLines &spare = spareLines();
+    std::lock_guard<std::mutex> guard(spare.lock);
+    for (auto it = spare.buffers.rbegin(); it != spare.buffers.rend();
+         ++it) {
+        if (it->first == count) {
+            CacheLine *storage = it->second.release();
+            spare.buffers.erase(std::next(it).base());
+            return storage;
+        }
+    }
+    return std::make_unique_for_overwrite<CacheLine[]>(count).release();
+}
 
 /** One valid line's term of the fingerprint sum. */
 std::uint64_t
@@ -19,14 +63,26 @@ CacheArray::CacheArray(const CacheGeometry &g)
     : geom(g)
 {
     geom.validate();
-    lines.resize(geom.numLines());
+    // Not cleared on purpose: insert() readies each set on first use.
+    lines = {takeLines(geom.numLines()), RecycleLines{geom.numLines()}};
+    readySets.resize((geom.numSets() + 63) / 64);
+}
+
+void
+CacheArray::RecycleLines::operator()(CacheLine *storage) const
+{
+    SpareLines &spare = spareLines();
+    std::lock_guard<std::mutex> guard(spare.lock);
+    spare.buffers.emplace_back(count, storage);
 }
 
 CacheLine *
 CacheArray::findWay(LineAddr line)
 {
     std::uint32_t set = geom.setIndex(line);
-    CacheLine *base = &lines[std::size_t{set} * geom.assoc];
+    if (!isReady(set))
+        return nullptr;
+    CacheLine *base = setBase(set);
     for (unsigned w = 0; w < geom.assoc; ++w) {
         if (base[w].valid() && base[w].line == line)
             return &base[w];
@@ -51,7 +107,9 @@ const CacheLine *
 CacheArray::peek(LineAddr line) const
 {
     std::uint32_t set = geom.setIndex(line);
-    const CacheLine *base = &lines[std::size_t{set} * geom.assoc];
+    if (!isReady(set))
+        return nullptr;
+    const CacheLine *base = setBase(set);
     for (unsigned w = 0; w < geom.assoc; ++w) {
         if (base[w].valid() && base[w].line == line)
             return &base[w];
@@ -66,7 +124,12 @@ CacheArray::insert(LineAddr line, LineState state,
 {
     victim.reset();
     std::uint32_t set = geom.setIndex(line);
-    CacheLine *base = &lines[std::size_t{set} * geom.assoc];
+    CacheLine *base = setBase(set);
+    if (!isReady(set)) {
+        for (unsigned w = 0; w < geom.assoc; ++w)
+            base[w] = CacheLine{0, LineState::Invalid, 0};
+        readySets[set / 64] |= std::uint64_t{1} << (set % 64);
+    }
 
     // Reuse the existing way if the line is already present.
     CacheLine *target = nullptr;
@@ -151,7 +214,9 @@ unsigned
 CacheArray::countVetoed(LineAddr line, const VictimFilter &filter) const
 {
     std::uint32_t set = geom.setIndex(line);
-    const CacheLine *base = &lines[std::size_t{set} * geom.assoc];
+    if (!isReady(set))
+        return 0;
+    const CacheLine *base = setBase(set);
     unsigned vetoed = 0;
     for (unsigned w = 0; w < geom.assoc; ++w) {
         if (base[w].valid() && filter && !filter(base[w].line))
@@ -165,7 +230,9 @@ CacheArray::forEachInSet(std::uint32_t set_idx,
                          const std::function<void(const CacheLine &)> &fn)
     const
 {
-    const CacheLine *base = &lines[std::size_t{set_idx} * geom.assoc];
+    if (!isReady(set_idx))
+        return;
+    const CacheLine *base = setBase(set_idx);
     for (unsigned w = 0; w < geom.assoc; ++w) {
         if (base[w].valid())
             fn(base[w]);
@@ -175,10 +242,8 @@ CacheArray::forEachInSet(std::uint32_t set_idx,
 void
 CacheArray::forEach(const std::function<void(const CacheLine &)> &fn) const
 {
-    for (const auto &l : lines) {
-        if (l.valid())
-            fn(l);
-    }
+    for (std::uint32_t set = 0; set < geom.numSets(); ++set)
+        forEachInSet(set, fn);
 }
 
 } // namespace bulksc

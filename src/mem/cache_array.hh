@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,12 +31,16 @@ enum class LineState : std::uint8_t
     Dirty, //!< Modified/owned (may be speculative; the array can't tell)
 };
 
-/** One cache line's tag-array entry. */
+/**
+ * One cache line's tag-array entry. Deliberately without default
+ * member initialisers, so CacheArray can allocate its storage without
+ * writing it; CacheArray initialises a set's ways on first insert.
+ */
 struct CacheLine
 {
-    LineAddr line = 0;
-    LineState state = LineState::Invalid;
-    std::uint64_t lruStamp = 0;
+    LineAddr line;
+    LineState state;
+    std::uint64_t lruStamp;
 
     bool valid() const { return state != LineState::Invalid; }
 };
@@ -53,6 +58,15 @@ struct Victim
  * Every coherence-state change goes through insert(), invalidate() or
  * setState(), which keep the running fingerprint() digest current;
  * callers only ever see const lines.
+ *
+ * Sets are initialised lazily, so a large array costs nothing until a
+ * run touches it: the line storage is never cleared as a whole (it is
+ * fresh from the allocator, or recycled from a destroyed array of the
+ * same size), and one ready bit per set records whether the set's ways
+ * hold meaningful entries. An unready set reads as all-Invalid on
+ * every path, and only insert() readies a set (setting its ways to
+ * Invalid/0 first), so the observable contents, LRU order and visit
+ * order are exactly those of an eagerly zeroed array.
  */
 class CacheArray
 {
@@ -117,13 +131,39 @@ class CacheArray
     std::uint64_t fingerprint() const { return digest; }
 
   private:
+    /**
+     * Deleter that hands the line storage to a process-wide spare
+     * list instead of freeing it, so the next array of the same size
+     * reuses pages that are already resident.
+     */
+    struct RecycleLines
+    {
+        std::uint64_t count; //!< lines in the storage
+        void operator()(CacheLine *storage) const;
+    };
+
     CacheLine *findWay(LineAddr line);
+
+    /** First way of set @p set_idx. */
+    CacheLine *
+    setBase(std::uint32_t set_idx) const
+    {
+        return &lines[std::size_t{set_idx} * geom.assoc];
+    }
+
+    bool
+    isReady(std::uint32_t set_idx) const
+    {
+        return (readySets[set_idx / 64] >> (set_idx % 64)) & 1;
+    }
 
     /** Overwrite @p l's tag and state, moving its fingerprint term. */
     void assign(CacheLine &l, LineAddr line, LineState state);
 
     CacheGeometry geom;
-    std::vector<CacheLine> lines;
+    //! numLines() entries, set-major; unready sets hold garbage
+    std::unique_ptr<CacheLine[], RecycleLines> lines;
+    std::vector<std::uint64_t> readySets; //!< one bit per set
     std::uint64_t lruCounter = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
