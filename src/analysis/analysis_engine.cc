@@ -39,6 +39,15 @@ AnalysisEngine::dumpStats(StatGroup &sg) const
         sg.set("analysis.checked_accesses",
                static_cast<double>(races_->checkedAccesses()));
     }
+    if (replay_) {
+        sg.set("sc_verifier.verified", replay_->verified() ? 1 : 0);
+        sg.set("sc_verifier.chunks",
+               static_cast<double>(replay_->chunksChecked()));
+        sg.set("sc_verifier.reads",
+               static_cast<double>(replay_->readsChecked()));
+        sg.set("sc_verifier.errors",
+               static_cast<double>(replay_->errors().size()));
+    }
 }
 
 } // namespace bulksc

@@ -2,9 +2,9 @@
  * @file
  * The analysis engine: one commit-order observer fanning committed
  * chunk logs out to the configured checkers (axiomatic SC via the
- * memory-order graph, happens-before races via vector clocks), plus
- * the writer-tag directory the processors' load instrumentation
- * queries.
+ * memory-order graph, happens-before races via vector clocks, and the
+ * serial value replay), plus the writer-tag directory the processors'
+ * load instrumentation queries.
  *
  * A BulkProcessor with an engine attached logs *every* access (not
  * just value-tracked ones) and binds each load's WriterRef at the
@@ -26,6 +26,7 @@
 
 #include "analysis/mem_order_graph.hh"
 #include "analysis/race_detector.hh"
+#include "analysis/sc_verifier.hh"
 #include "sim/stats.hh"
 
 namespace bulksc {
@@ -34,6 +35,7 @@ struct AnalysisConfig
 {
     bool axiomatic = true;
     bool race = false;
+    bool replay = false; //!< serial value replay (ScVerifier)
     unsigned numProcs = 0;
 
     /** Sync-variable address range for happens-before edges (the
@@ -57,6 +59,8 @@ class AnalysisEngine
                 cfg.numProcs, cfg.syncLo, cfg.syncHi,
                 cfg.raceReportCap});
         }
+        if (cfg.replay)
+            replay_ = std::make_unique<ScVerifier>();
     }
 
     /** Load instrumentation: the committed writer of @p a (initial
@@ -78,6 +82,8 @@ class AnalysisEngine
             graph_->chunkCommitted(now, p, seq, log);
         if (races_)
             races_->chunkCommitted(now, p, seq, log);
+        if (replay_)
+            replay_->chunkCommitted(p, log);
     }
 
     const AnalysisConfig &config() const { return cfg_; }
@@ -88,9 +94,18 @@ class AnalysisEngine
     /** Null unless the race check is enabled. */
     const RaceDetector *races() const { return races_.get(); }
 
-    /** True iff no po ∪ rf ∪ co ∪ fr cycle was found (vacuously true
-     *  with the axiomatic check off). */
-    bool scOk() const { return !graph_ || graph_->ok(); }
+    /** Null unless the replay check is enabled. */
+    const ScVerifier *replay() const { return replay_.get(); }
+
+    /** True iff no po ∪ rf ∪ co ∪ fr cycle was found and every
+     *  replayed load matched (each vacuously true with its checker
+     *  off). */
+    bool
+    scOk() const
+    {
+        return (!graph_ || graph_->ok()) &&
+               (!replay_ || replay_->verified());
+    }
 
     std::uint64_t scCycles() const
     {
@@ -110,6 +125,7 @@ class AnalysisEngine
     AnalysisConfig cfg_;
     std::unique_ptr<MemOrderGraph> graph_;
     std::unique_ptr<RaceDetector> races_;
+    std::unique_ptr<ScVerifier> replay_;
     std::uint64_t nChunks = 0;
 };
 

@@ -21,16 +21,15 @@
  * check, so the exact sets are disjoint too), making concurrent
  * commits commutative in the replay.
  *
- * Value tracking: the checker no longer requires the workload
- * generator's trackAllValues mode. Accesses without a meaningful
- * value (LoggedAccess::hasValue == false, logged when an
- * AnalysisEngine is attached) participate in the replay
+ * It is one of the AnalysisEngine's checkers (AnalysisConfig::replay)
+ * and sees the same commit-order log as the others: every access,
+ * whichever checkers run. Accesses without a meaningful value
+ * (LoggedAccess::hasValue == false) participate in the replay
  * structurally — an untracked store poisons the reference cell to
  * "unknown", and loads of unknown cells are counted but not
  * compared. Structural SC over those accesses is covered by the
- * axiomatic checker (src/analysis/mem_order_graph.hh), which works
- * from writer tags instead of values; cross-checking the two on the
- * tracked subset is how the restriction was lifted.
+ * axiomatic checker (mem_order_graph.hh), which works from writer
+ * tags instead of values.
  *
  * Remaining limitation: on partially-tracked workloads the *replay*
  * checker's value comparison only discriminates between writes that
@@ -42,8 +41,8 @@
  * it never infers writers from values.
  */
 
-#ifndef BULKSC_CORE_SC_VERIFIER_HH
-#define BULKSC_CORE_SC_VERIFIER_HH
+#ifndef BULKSC_ANALYSIS_SC_VERIFIER_HH
+#define BULKSC_ANALYSIS_SC_VERIFIER_HH
 
 #include <cstdint>
 #include <string>
@@ -63,7 +62,7 @@ class ScVerifier
   public:
     /**
      * A chunk committed (commit permission granted). Must be invoked
-     * in commit-grant order — which is how BulkProcessor calls it.
+     * in commit-grant order — which is how AnalysisEngine calls it.
      *
      * @param p Committing processor.
      * @param log The chunk's accesses in program order.
@@ -107,4 +106,4 @@ class ScVerifier
 
 } // namespace bulksc
 
-#endif // BULKSC_CORE_SC_VERIFIER_HH
+#endif // BULKSC_ANALYSIS_SC_VERIFIER_HH

@@ -3,7 +3,6 @@
 #include "sim/event_trace.hh"
 #include "sim/rng.hh"
 #include "sim/logging.hh"
-#include "sim/trace_log.hh"
 
 namespace bulksc {
 
@@ -60,7 +59,7 @@ Arbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
         if (preArbOwner != ~ProcId{0} && preArbOwner != p) {
             ++stats_.denials;
             EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
-                        trackArb(0), 0, wList.size(), 0);
+                        trackArb(0), 0, wList.size(), 0, p);
             eventq.scheduleAfter(processing, [this, w, port] {
                 chan.sendReply(port, node, false, w);
             });
@@ -90,14 +89,13 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
     // the decision re-runs against the then-current list.
     eventq.scheduleAfter(processing, [this, p, w, r, r_provider,
                                       port] {
+        // decision: 0 = deny, 1 = grant, 2 = fault-injected grant.
         auto finalize = [this, p, port](
-                            bool ok,
+                            std::uint8_t decision,
                             const std::shared_ptr<Signature> &w_) {
-            TRACE_LOG(TraceCat::Commit, curTick(), "arbiter: ",
-                      ok ? "grant" : "deny", " for proc ", p,
-                      " (pending W list: ", wList.size(), ")");
+            bool ok = decision != 0;
             EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
-                        trackArb(0), 0, wList.size(), ok ? 1 : 0);
+                        trackArb(0), 0, wList.size(), decision, p);
             if (ok) {
                 ++stats_.grants;
                 if (w_->empty()) {
@@ -115,7 +113,7 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
         };
 
         if (wList.empty()) {
-            finalize(true, w);
+            finalize(1, w);
             return;
         }
         if (!r) {
@@ -128,7 +126,7 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
                     // Chunk vanished (squashed); deny.
                     ++stats_.denials;
                     EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
-                                trackArb(0), 0, wList.size(), 0);
+                                trackArb(0), 0, wList.size(), 0, p);
                     tryActivatePreArb();
                     chan.sendReply(port, node, false, w);
                     return;
@@ -144,19 +142,17 @@ Arbiter::decide(ProcId p, const std::shared_ptr<Signature> &w,
             });
             return;
         }
-        bool ok = !collides(*r) && !collides(*w) &&
-                  wList.size() < maxCommits;
+        std::uint8_t decision = !collides(*r) && !collides(*w) &&
+                                wList.size() < maxCommits;
         // Fault injection (negative testing): let every Nth colliding
         // request through, breaking the disambiguation the checkers
         // are supposed to catch. The capacity limit still applies.
-        if (!ok && faults && wList.size() < maxCommits &&
+        if (!decision && faults && wList.size() < maxCommits &&
             faults->skipCollision()) {
             ++stats_.faultInjectedGrants;
-            TRACE_LOG(TraceCat::Commit, curTick(),
-                      "arbiter: FAULT-INJECTED grant for proc ", p);
-            ok = true;
+            decision = 2;
         }
-        finalize(ok, w);
+        finalize(decision, w);
     });
 }
 

@@ -19,7 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/sc_verifier.hh"
+#include "analysis/access_log.hh"
 #include "signature/signature.hh"
 #include "sim/types.hh"
 

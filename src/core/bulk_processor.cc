@@ -4,7 +4,6 @@
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/trace_log.hh"
 
 namespace bulksc {
 
@@ -36,11 +35,9 @@ BulkProcessor::currentChunk()
             static_cast<double>(curTick() - lastSquashTick));
         lastSquashTick = kTickNever;
     }
-    TRACE_LOG(TraceCat::Chunk, curTick(), name(), ": chunk ",
-              chunks.back()->seq, " opens at op ", pos, " (target ",
-              nextChunkTarget, " instrs)");
     EVENT_TRACE(TraceEventType::ChunkStart, curTick(), trackProc(pid),
-                chunks.back()->seq, nextChunkTarget);
+                chunks.back()->seq, nextChunkTarget, 0,
+                static_cast<std::uint32_t>(pos));
     return chunks.back().get();
 }
 
@@ -99,12 +96,10 @@ void
 BulkProcessor::logLoad(Chunk &c, Addr addr, std::uint64_t value,
                        bool tracked)
 {
-    if (!((verifier && tracked) || analysis))
+    if (!analysis)
         return;
-    LoggedAccess a{addr, value, false, tracked, {}};
-    if (analysis)
-        a.writer = findWriterTag(addr);
-    c.accessLog.push_back(a);
+    c.accessLog.push_back(
+        {addr, value, false, tracked, findWriterTag(addr)});
 }
 
 bool
@@ -201,11 +196,9 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
 
     if (tracked)
         c.specValues[addr] = value;
-    if ((verifier && tracked) || analysis) {
-        if (analysis) {
-            c.specWriters[addr] =
-                static_cast<std::uint32_t>(c.accessLog.size());
-        }
+    if (analysis) {
+        c.specWriters[addr] =
+            static_cast<std::uint32_t>(c.accessLog.size());
         c.accessLog.push_back({addr, value, true, tracked, {}});
     }
 
@@ -523,8 +516,6 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
     // and writer tags in lockstep.
     for (const auto &[a, v] : c->specValues)
         mem.writeValue(a, v);
-    if (verifier)
-        verifier->chunkCommitted(pid, c->accessLog);
     if (analysis)
         analysis->chunkCommitted(curTick(), pid, seq, c->accessLog);
 
@@ -537,11 +528,9 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
         bstats.arbLatency.sample(
             static_cast<double>(curTick() - c->firstArbTick));
     }
-    TRACE_LOG(TraceCat::Commit, curTick(), name(), ": chunk ", seq,
-              " granted (", c->execInstrs, " instrs, |W|=",
-              c->wLines.size(), ", |R|=", c->r.exactSize(), ")");
     EVENT_TRACE(TraceEventType::ChunkCommit, curTick(), trackProc(pid),
-                seq, c->execInstrs);
+                seq, c->execInstrs, 0,
+                static_cast<std::uint32_t>(c->wLines.size()));
 
     // Private Buffer: entries belonging to this chunk either transfer
     // to a younger chunk still writing the line, or retire (their
@@ -599,9 +588,6 @@ BulkProcessor::rescueBoost()
     EVENT_TRACE(TraceEventType::WatchdogRescue, curTick(),
                 trackProc(pid), chunks.empty() ? 0 : chunks.front()->seq,
                 bprm.minChunkSize);
-    TRACE_LOG(TraceCat::Watchdog, curTick(), name(),
-              ": rescue boost — clamping chunks to ", bprm.minChunkSize,
-              " instrs and pre-arbitrating");
     nextChunkTarget = bprm.minChunkSize;
     for (auto &c : chunks) {
         if (c->endReached)
@@ -725,14 +711,10 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
         ++bstats.falsePositiveSquashes;
     else
         ++bstats.unattributedSquashes;
-    TRACE_LOG(TraceCat::Squash, curTick(), name(), ": squashing ",
-              chunks.size() - idx, " chunk(s) from seq ",
-              chunks[idx]->seq, ", rollback to op ",
-              chunks[idx]->startPos, " (", consecutiveSquashes,
-              " consecutive, ", squashCauseName(cause), ")");
     EVENT_TRACE(TraceEventType::Squash, curTick(), trackProc(pid),
                 chunks[idx]->seq, chunks.size() - idx,
-                static_cast<std::uint8_t>(cause));
+                static_cast<std::uint8_t>(cause),
+                static_cast<std::uint32_t>(chunks[idx]->startPos));
 
     for (std::size_t j = chunks.size(); j-- > idx;) {
         Chunk &c = *chunks[j];
@@ -871,7 +853,7 @@ BulkProcessor::syncLoad(Addr addr,
             // The value binds now, possibly in a later chunk than the
             // one the access started in (the first chunk may have
             // committed while a spin was in progress), so the read is
-            // attributed — R signature and verifier log — to the
+            // attributed — R signature and access log — to the
             // chunk that is current when it completes.
             withChunk([this, addr, done](Chunk &now) {
                 loadToChunk(now, lineOf(addr, prm.lineBytes), false);

@@ -23,7 +23,6 @@
 #include "analysis/analysis_engine.hh"
 #include "core/arbiter.hh"
 #include "core/bdm.hh"
-#include "core/sc_verifier.hh"
 #include "cpu/processor_base.hh"
 #include "sim/event_trace.hh"
 #include "sim/stats.hh"
@@ -139,10 +138,6 @@ class BulkProcessor : public ProcessorBase
 
     const BulkStats &bulkStats() const { return bstats; }
 
-    /** Attach an SC conformance checker: committed chunks report
-     *  their access logs to it in commit order. */
-    void setVerifier(ScVerifier *v) { verifier = v; }
-
     /** Attach an analysis engine: every access (tracked or not) is
      *  logged, loads bind writer tags, and committed chunks report
      *  in commit order. */
@@ -242,8 +237,8 @@ class BulkProcessor : public ProcessorBase
      *  for value-untracked addresses. */
     WriterRef findWriterTag(Addr addr) const;
 
-    /** Append a load of @p addr to @p c's access log (analysis /
-     *  verifier instrumentation; call at value-bind time). */
+    /** Append a load of @p addr to @p c's access log (analysis
+     *  instrumentation; call at value-bind time). */
     void logLoad(Chunk &c, Addr addr, std::uint64_t value,
                  bool tracked);
 
@@ -295,7 +290,6 @@ class BulkProcessor : public ProcessorBase
      *  atomically as one chunk. */
     unsigned txnDepth = 0;
 
-    ScVerifier *verifier = nullptr;
     AnalysisEngine *analysis = nullptr;
 
     BulkStats bstats;

@@ -80,7 +80,7 @@ DistributedArbiter::touchStats()
 
 void
 DistributedArbiter::finishDecision(const ReliableChannel::ReplyPort &reply,
-                                   bool ok, NodeId from,
+                                   bool ok, NodeId from, ProcId p,
                                    std::shared_ptr<Signature> w)
 {
     if (ok)
@@ -89,7 +89,7 @@ DistributedArbiter::finishDecision(const ReliableChannel::ReplyPort &reply,
         ++stats_.denials;
     EVENT_TRACE(TraceEventType::ArbDecision, curTick(),
                 trackArb(static_cast<unsigned>(from - firstNode)), 0,
-                activeTxns, ok ? 1 : 0);
+                activeTxns, ok ? 1 : 0, p);
     chan.sendReply(reply, from, ok, std::move(w));
 }
 
@@ -131,7 +131,7 @@ DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
             ++stats_.requests;
             ++nSingle;
             if (preArbOwner != ~ProcId{0} && preArbOwner != p) {
-                finishDecision(reply, false, mnode, w);
+                finishDecision(reply, false, mnode, p, w);
                 return;
             }
             bool was_owner = preArbOwner == p;
@@ -147,7 +147,7 @@ DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
                                             r ? r->compressedBits()
                                               : 16)
                                   : 0),
-                [this, w, r, m, mnode, w_here, was_owner, reply] {
+                [this, p, w, r, m, mnode, w_here, was_owner, reply] {
                     bool ok = !moduleCollides(m, *w) &&
                               (!r || modules[m].wList.empty() ||
                                !moduleCollides(m, *r));
@@ -165,7 +165,7 @@ DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
                         preArbOwner = ~ProcId{0};
                         tryActivatePreArb();
                     }
-                    finishDecision(reply, ok, mnode, w);
+                    finishDecision(reply, ok, mnode, p, w);
                 });
         });
         return;
@@ -180,7 +180,7 @@ DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
         ++stats_.requests;
         ++nMulti;
         if (preArbOwner != ~ProcId{0} && preArbOwner != p) {
-            finishDecision(reply, false, gnode, w);
+            finishDecision(reply, false, gnode, p, w);
             return;
         }
         bool was_owner = preArbOwner == p;
@@ -198,7 +198,7 @@ DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
         if (g_collide) {
             if (was_owner)
                 tryActivatePreArb();
-            finishDecision(reply, false, gnode, w);
+            finishDecision(reply, false, gnode, p, w);
             return;
         }
 
@@ -217,7 +217,7 @@ DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
                 w_ranges.end();
             net.send(gnode, firstNode + m, TrafficClass::WrSig,
                      sig_bits,
-                     [this, w, r, m, w_here, gnode, votes, all_ok,
+                     [this, p, w, r, m, w_here, gnode, votes, all_ok,
                       reserved, was_owner, reply] {
                 bool ok = !moduleCollides(m, *w) &&
                           (!r || !moduleCollides(m, *r));
@@ -227,13 +227,13 @@ DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
                 }
                 // Vote back to the G-arbiter.
                 net.send(firstNode + m, gnode, TrafficClass::Other, 8,
-                         [this, w, ok, gnode, votes, all_ok,
+                         [this, p, w, ok, gnode, votes, all_ok,
                           reserved, was_owner, reply] {
                     if (!ok)
                         *all_ok = false;
                     if (--*votes != 0)
                         return;
-                    eventq.scheduleAfter(processing, [this, w,
+                    eventq.scheduleAfter(processing, [this, p, w,
                                                       gnode, all_ok,
                                                       reserved,
                                                       was_owner,
@@ -253,7 +253,7 @@ DistributedArbiter::requestCommit(ProcId p, std::shared_ptr<Signature> w,
                         }
                         if (was_owner)
                             tryActivatePreArb();
-                        finishDecision(reply, *all_ok, gnode, w);
+                        finishDecision(reply, *all_ok, gnode, p, w);
                     });
                 });
             });

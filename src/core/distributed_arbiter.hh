@@ -75,9 +75,10 @@ class DistributedArbiter : public SimObject, public ArbiterIface
     void removeFrom(std::vector<std::shared_ptr<Signature>> &list,
                     const std::shared_ptr<Signature> &w);
 
-    /** Count and send the decision on chunk W @p w. */
+    /** Count and send the decision on proc @p p's chunk W @p w. */
     void finishDecision(const ReliableChannel::ReplyPort &reply, bool ok,
-                        NodeId from, std::shared_ptr<Signature> w);
+                        NodeId from, ProcId p,
+                        std::shared_ptr<Signature> w);
 
     void touchStats();
     void tryActivatePreArb();

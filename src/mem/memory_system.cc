@@ -5,7 +5,6 @@
 #include "sim/event_trace.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/trace_log.hh"
 
 namespace bulksc {
 
@@ -535,10 +534,8 @@ MemorySystem::dirHandleCommit(unsigned dir_idx, ProcId committer,
                               const std::shared_ptr<CommitTxn> &txn)
 {
     ExpansionResult res = dirs[dir_idx]->expand(*txn->w, committer);
-    TRACE_LOG(TraceCat::Coherence, curTick(), "dir", dir_idx,
-              ": expanded W of proc ", committer, " (", res.lookups,
-              " lookups, ", res.aliasLookups, " aliased, inval list 0x",
-              res.invalidationList, ")");
+    EVENT_TRACE(TraceEventType::DirExpand, curTick(), trackDir(dir_idx),
+                0, res.lookups, 0, committer);
     nDirLookups += res.lookups;
     nDirAliasLookups += res.aliasLookups;
     nDirUpdates += res.updates;

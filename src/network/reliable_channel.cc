@@ -2,7 +2,6 @@
 
 #include "sim/event_trace.hh"
 #include "sim/rng.hh"
-#include "sim/trace_log.hh"
 
 namespace bulksc {
 
@@ -103,9 +102,9 @@ ReliableChannel::transmit(const std::shared_ptr<Call> &c)
         } else {
             ++stats_.commitAbandoned;
         }
-        TRACE_LOG(TraceCat::Fault, curTick(), "channel: giving up on ",
-                  c->permission ? "commit request " : "commit W ",
-                  c->id, " after ", c->attempts, " attempts");
+        EVENT_TRACE(TraceEventType::ResendGiveUp, curTick(), c->track,
+                    c->label, c->attempts, c->permission ? 1 : 0,
+                    static_cast<std::uint32_t>(c->id));
     });
 }
 

@@ -1,7 +1,12 @@
 #include "sim/event_trace.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iomanip>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -10,55 +15,126 @@
 
 namespace bulksc {
 
+namespace {
+
+/** One row per event type: its names for both sinks. */
+struct TypeInfo
+{
+    const char *name;
+    TraceCat cat;
+    const char *argName; //!< text-sink label of `arg`
+    const char *auxName; //!< label of `aux`, or nullptr if unused
+};
+
+constexpr TypeInfo kTypeInfo[] = {
+    {"chunk-start", TraceCat::Chunk, "target", "op"},
+    {"chunk-commit", TraceCat::Chunk, "instrs", "w_lines"},
+    {"chunk-squash", TraceCat::Squash, "instrs", nullptr},
+    {"squash", TraceCat::Squash, "chunks", "rollback_op"},
+    {"arb-request", TraceCat::Commit, "instrs", nullptr},
+    {"arb-grant", TraceCat::Commit, "arg", nullptr},
+    {"arb-deny", TraceCat::Commit, "arg", nullptr},
+    {"arb-decision", TraceCat::Commit, "pending_w", "proc"},
+    {"commit-begin", TraceCat::Commit, "w_lines", nullptr},
+    {"commit-end", TraceCat::Commit, "arg", nullptr},
+    {"dir-bounce", TraceCat::Coherence, "line", nullptr},
+    {"bulk-inval", TraceCat::Coherence, "arg", nullptr},
+    {"dir-expand", TraceCat::Coherence, "lookups", "proc"},
+    {"barrier-arrive", TraceCat::Sync, "arrived", "barrier"},
+    {"sc-violation", TraceCat::Analysis, "addr", nullptr},
+    {"race-detected", TraceCat::Analysis, "addr", nullptr},
+    {"fault-inject", TraceCat::Fault, "kind", nullptr},
+    {"resend", TraceCat::Fault, "attempt", nullptr},
+    {"dir-nack", TraceCat::Fault, "arg", nullptr},
+    {"watchdog-rescue", TraceCat::Watchdog, "chunk_size", nullptr},
+    {"watchdog-trip", TraceCat::Watchdog, "verdict", nullptr},
+    {"resend-give-up", TraceCat::Fault, "attempts", "txn"},
+};
+static_assert(std::size(kTypeInfo) ==
+                  static_cast<std::size_t>(TraceEventType::NumTypes),
+              "one kTypeInfo row per TraceEventType");
+
+const TypeInfo &
+info(TraceEventType t)
+{
+    return kTypeInfo[static_cast<std::size_t>(t)];
+}
+
+bool unknownCatWarned = false;
+
+} // namespace
+
 namespace detail {
-bool eventTraceOn = false;
+bool eventTraceOn = EventTrace::instance().textCategories() != 0;
+
+void
+resetUnknownTraceCatWarning()
+{
+    unknownCatWarned = false;
+}
 } // namespace detail
+
+const char *
+traceCatName(TraceCat cat)
+{
+    for (const TraceCatName &c : kTraceCats) {
+        if (c.cat == cat)
+            return c.name;
+    }
+    return "?";
+}
+
+std::string
+traceCatList()
+{
+    std::string out;
+    for (const TraceCatName &c : kTraceCats)
+        out += std::string(c.name) + ",";
+    return out + "all";
+}
+
+std::uint32_t
+parseTraceCategories(const std::string &spec)
+{
+    std::uint32_t m = 0;
+    std::size_t pos = 0;
+    while (pos < spec.size()) {
+        std::size_t comma = spec.find(',', pos);
+        if (comma == std::string::npos)
+            comma = spec.size();
+        std::string name = spec.substr(pos, comma - pos);
+        pos = comma + 1;
+        for (char &ch : name)
+            ch = static_cast<char>(
+                std::tolower(static_cast<unsigned char>(ch)));
+        if (name.empty())
+            continue;
+        if (name == "all") {
+            m = ~std::uint32_t{0};
+            continue;
+        }
+        bool matched = false;
+        for (const TraceCatName &c : kTraceCats) {
+            if (name == c.name) {
+                m |= static_cast<std::uint32_t>(c.cat);
+                matched = true;
+            }
+        }
+        if (!matched && !unknownCatWarned) {
+            unknownCatWarned = true;
+            std::fprintf(stderr,
+                         "warning: unknown trace category '%s' "
+                         "(known: %s)\n",
+                         name.c_str(), traceCatList().c_str());
+        }
+    }
+    return m;
+}
 
 const char *
 traceEventTypeName(TraceEventType t)
 {
-    switch (t) {
-      case TraceEventType::ChunkStart:
-        return "chunk-start";
-      case TraceEventType::ChunkCommit:
-        return "chunk-commit";
-      case TraceEventType::ChunkSquash:
-        return "chunk-squash";
-      case TraceEventType::Squash:
-        return "squash";
-      case TraceEventType::ArbRequest:
-        return "arb-request";
-      case TraceEventType::ArbGrant:
-        return "arb-grant";
-      case TraceEventType::ArbDeny:
-        return "arb-deny";
-      case TraceEventType::ArbDecision:
-        return "arb-decision";
-      case TraceEventType::CommitBegin:
-        return "commit-begin";
-      case TraceEventType::CommitEnd:
-        return "commit-end";
-      case TraceEventType::DirBounce:
-        return "dir-bounce";
-      case TraceEventType::BulkInval:
-        return "bulk-inval";
-      case TraceEventType::ScViolation:
-        return "sc-violation";
-      case TraceEventType::RaceDetected:
-        return "race-detected";
-      case TraceEventType::FaultInject:
-        return "fault-inject";
-      case TraceEventType::Resend:
-        return "resend";
-      case TraceEventType::DirNack:
-        return "dir-nack";
-      case TraceEventType::WatchdogRescue:
-        return "watchdog-rescue";
-      case TraceEventType::WatchdogTrip:
-        return "watchdog-trip";
-      default:
-        return "?";
-    }
+    return t < TraceEventType::NumTypes ? info(t).name : "?";
 }
 
 const char *
@@ -79,29 +155,7 @@ squashCauseName(SquashCause c)
 TraceCat
 traceEventCat(TraceEventType t)
 {
-    switch (t) {
-      case TraceEventType::ChunkStart:
-      case TraceEventType::ChunkCommit:
-        return TraceCat::Chunk;
-      case TraceEventType::ChunkSquash:
-      case TraceEventType::Squash:
-        return TraceCat::Squash;
-      case TraceEventType::DirBounce:
-      case TraceEventType::BulkInval:
-        return TraceCat::Coherence;
-      case TraceEventType::ScViolation:
-      case TraceEventType::RaceDetected:
-        return TraceCat::Analysis;
-      case TraceEventType::FaultInject:
-      case TraceEventType::Resend:
-      case TraceEventType::DirNack:
-        return TraceCat::Fault;
-      case TraceEventType::WatchdogRescue:
-      case TraceEventType::WatchdogTrip:
-        return TraceCat::Watchdog;
-      default:
-        return TraceCat::Commit;
-    }
+    return info(t).cat;
 }
 
 std::string
@@ -112,6 +166,56 @@ trackName(std::uint16_t track)
     if (track < kTrackArbBase)
         return "dir" + std::to_string(track - kTrackDirBase);
     return "arbiter" + std::to_string(track - kTrackArbBase);
+}
+
+namespace {
+
+/** Name of @p cause for an event of type @p t, or nullptr where the
+ *  cause is a plain number (or unused). */
+const char *
+traceCauseName(TraceEventType t, std::uint8_t cause)
+{
+    switch (t) {
+      case TraceEventType::ChunkSquash:
+      case TraceEventType::Squash:
+        return squashCauseName(static_cast<SquashCause>(cause));
+      case TraceEventType::ArbDecision:
+        return cause == 0   ? "deny"
+               : cause == 1 ? "grant"
+                            : "fault-injected grant";
+      case TraceEventType::RaceDetected:
+        return cause ? "write" : "read";
+      case TraceEventType::ResendGiveUp:
+        return cause ? "commit request" : "commit W";
+      default:
+        return nullptr;
+    }
+}
+
+/** The text sink's line for @p ev (no trailing newline). */
+std::string
+formatTraceEvent(const TraceEvent &ev)
+{
+    const TypeInfo &ti = info(ev.type);
+    std::ostringstream os;
+    os << std::setw(10) << ev.tick << ": [" << traceCatName(ti.cat)
+       << "] " << trackName(ev.track) << " " << ti.name
+       << " seq=" << ev.seq << " " << ti.argName << "=" << ev.arg;
+    if (ti.auxName)
+        os << " " << ti.auxName << "=" << ev.aux;
+    if (const char *c = traceCauseName(ev.type, ev.cause))
+        os << " (" << c << ")";
+    else if (ev.cause)
+        os << " cause=" << unsigned{ev.cause};
+    return os.str();
+}
+
+} // namespace
+
+EventTrace::EventTrace()
+{
+    const char *env = std::getenv("BULKSC_TRACE");
+    textMask = env ? parseTraceCategories(env) : 0;
 }
 
 EventTrace &
@@ -125,17 +229,31 @@ void
 EventTrace::enable(std::uint32_t cat_mask, std::size_t capacity)
 {
     clear();
-    catMask = cat_mask;
+    ringMask = cat_mask;
     cap = capacity ? capacity : 1;
     ring.clear();
     ring.reserve(cap < 4096 ? cap : 4096);
-    detail::eventTraceOn = true;
+    updateGate();
 }
 
 void
 EventTrace::disable()
 {
-    detail::eventTraceOn = false;
+    ringMask = 0;
+    updateGate();
+}
+
+void
+EventTrace::setTextCategories(std::uint32_t cat_mask)
+{
+    textMask = cat_mask;
+    updateGate();
+}
+
+void
+EventTrace::updateGate()
+{
+    detail::eventTraceOn = (ringMask | textMask) != 0;
 }
 
 void
@@ -152,11 +270,14 @@ EventTrace::clear()
 void
 EventTrace::record(TraceEventType type, Tick tick, std::uint16_t track,
                    std::uint64_t seq, std::uint64_t arg,
-                   std::uint8_t cause)
+                   std::uint8_t cause, std::uint32_t aux)
 {
-    if ((catMask & static_cast<std::uint32_t>(traceEventCat(type))) == 0)
+    auto cat = static_cast<std::uint32_t>(traceEventCat(type));
+    TraceEvent ev{tick, seq, arg, track, type, cause, aux};
+    if (textMask & cat)
+        std::fprintf(stderr, "%s\n", formatTraceEvent(ev).c_str());
+    if ((ringMask & cat) == 0)
         return;
-    TraceEvent ev{tick, seq, arg, track, type, cause};
     if (ring.size() < cap) {
         ring.push_back(ev);
     } else {
@@ -382,12 +503,9 @@ EventTrace::writeChromeTrace(std::ostream &os) const
         std::ostringstream e;
         e << "{\"name\":\"" << traceEventTypeName(ev.type);
         if (ev.type == TraceEventType::Squash ||
-            ev.type == TraceEventType::ChunkSquash) {
-            e << " ("
-              << squashCauseName(static_cast<SquashCause>(ev.cause))
-              << ")";
-        } else if (ev.type == TraceEventType::ArbDecision) {
-            e << " (" << (ev.cause ? "grant" : "deny") << ")";
+            ev.type == TraceEventType::ChunkSquash ||
+            ev.type == TraceEventType::ArbDecision) {
+            e << " (" << traceCauseName(ev.type, ev.cause) << ")";
         }
         e << "\",\"cat\":\""
           << traceCatName(traceEventCat(ev.type)) << "\",\"ph\":\"i\""

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "sim/event_trace.hh"
 #include "sim/fault_plane.hh"
 #include "sim/stats.hh"
 
@@ -486,12 +487,11 @@ OptionRegistry::OptionRegistry()
            [](const SimOptions &o) { return o.jsonOut; });
 
     b.str("trace-out", "FILE",
-          "export chunk-lifecycle events as Chrome trace_event JSON",
-          kSim, false, &SimOptions::traceOut);
+          "export recorded events as Chrome trace_event JSON", kSim,
+          false, &SimOptions::traceOut);
 
     b.str("trace-cats", "LIST",
-          "event categories to record: chunk,commit,squash,"
-          "coherence,all",
+          ("event categories to record: " + traceCatList()).c_str(),
           kSim, false, &SimOptions::traceCats);
 
     // --config is recognized by parse() itself (it must be applied

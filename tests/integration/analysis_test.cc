@@ -58,18 +58,18 @@ TEST_P(BulkModels, AxiomaticCheckerAgreesWithReplayVerifier)
     cfg.numProcs = 4;
     auto traces = generateTraces(app, 4, 10'000);
     System sys(std::move(cfg), std::move(traces));
-    sys.enableScVerification();
-    sys.enableAnalysis();
+    sys.enableAnalysis(true, false, true);
     Results r = sys.run(400'000'000);
     ASSERT_TRUE(r.completed);
     // Both checkers observe the same committed chunks and agree the
     // execution is SC.
-    ASSERT_NE(sys.scVerifier(), nullptr);
     ASSERT_NE(sys.analysis(), nullptr);
-    EXPECT_TRUE(sys.scVerifier()->verified());
+    const ScVerifier *rep = sys.analysis()->replay();
+    ASSERT_NE(rep, nullptr);
+    EXPECT_TRUE(rep->verified());
+    EXPECT_TRUE(sys.analysis()->graph()->ok());
     EXPECT_TRUE(sys.analysis()->scOk());
-    EXPECT_EQ(sys.scVerifier()->chunksChecked(),
-              sys.analysis()->chunksObserved());
+    EXPECT_EQ(rep->chunksChecked(), sys.analysis()->chunksObserved());
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, BulkModels,

@@ -89,6 +89,35 @@ TEST_F(EventTraceIntegration, EventCountsMatchStats)
     EXPECT_EQ(et.count(TraceEventType::BulkInval),
               static_cast<std::uint64_t>(
                   res.stats.get("bulk.inval_nodes_total")));
+
+    // One expansion per W a directory module serviced.
+    EXPECT_EQ(et.count(TraceEventType::DirExpand),
+              static_cast<std::uint64_t>(
+                  res.stats.get("mem.dir_commit_service.samples")));
+}
+
+TEST_F(EventTraceIntegration, ResendGiveUpsAreEvents)
+{
+    // Requests that keep vanishing exhaust the resend budget; each
+    // give-up is one event, and the watchdog ends the wedged run.
+    EventTrace &et = EventTrace::instance();
+    et.enable(static_cast<std::uint32_t>(TraceCat::Fault));
+    MachineConfig cfg;
+    cfg.model = Model::BSCdypvt;
+    cfg.numProcs = 4;
+    cfg.faults = "arb.req_loss=0.9";
+    cfg.channel.maxResend = 1;
+    cfg.watchdog.enabled = true;
+    cfg.watchdog.interval = 2000;
+    System sys(std::move(cfg),
+               generateTraces(profileByName("ocean"), 4, 20'000));
+    Results res = sys.run();
+    et.disable();
+    double give_ups = res.stats.get("bulk.resend_give_ups") +
+                      res.stats.get("mem.commit_abandoned", 0);
+    EXPECT_GT(give_ups, 0.0);
+    EXPECT_EQ(et.count(TraceEventType::ResendGiveUp),
+              static_cast<std::uint64_t>(give_ups));
 }
 
 TEST_F(EventTraceIntegration, SquashAttributionSumsToTotal)

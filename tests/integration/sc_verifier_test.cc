@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sc_verifier.hh"
+#include "analysis/sc_verifier.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
 
@@ -28,11 +28,12 @@ runVerified(Model m, AppProfile app, unsigned procs,
     cfg.numProcs = procs;
     auto traces = generateTraces(app, procs, instrs, salt);
     System sys(std::move(cfg), std::move(traces));
-    sys.enableScVerification();
+    sys.enableAnalysis(false, false, true);
     Results r = sys.run(400'000'000);
     EXPECT_TRUE(r.completed);
-    if (sys.scVerifier() && !sys.scVerifier()->verified()) {
-        for (const std::string &e : sys.scVerifier()->errors())
+    const ScVerifier *rep = sys.analysis()->replay();
+    if (rep && !rep->verified()) {
+        for (const std::string &e : rep->errors())
             ADD_FAILURE() << e;
     }
     return r;
@@ -118,6 +119,31 @@ TEST(ScVerifierIntegration, SmallChunksStaySerializable)
     Results r = runVerified(Model::BSCdypvt, profileByName("sjbb2k"),
                             4, 8'000, 0, &cfg);
     EXPECT_EQ(r.stats.get("sc_verifier.verified"), 1.0);
+}
+
+/** The replay sees one log, whichever checkers run beside it: on a
+ *  partially tracked workload the untracked accesses are in it with
+ *  or without the axiomatic checker. */
+TEST(ScVerifierIntegration, ReplayRuleIndependentOfOtherCheckers)
+{
+    auto replay = [](bool axiomatic) {
+        MachineConfig cfg;
+        cfg.model = Model::BSCdypvt;
+        cfg.numProcs = 4;
+        System sys(std::move(cfg),
+                   generateTraces(profileByName("raytrace"), 4, 20'000));
+        sys.enableAnalysis(axiomatic, false, true);
+        EXPECT_TRUE(sys.run(400'000'000).completed);
+        const ScVerifier &v = *sys.analysis()->replay();
+        return std::vector<std::uint64_t>{
+            v.chunksChecked(), v.readsChecked(), v.skippedReads(),
+            v.unknownValueReads(), v.verified() ? 1u : 0u};
+    };
+    std::vector<std::uint64_t> alone = replay(false);
+    EXPECT_EQ(alone, replay(true));
+    EXPECT_GT(alone[1], 0u); // tracked (lock) loads compared
+    EXPECT_GT(alone[2], 0u); // untracked loads logged, not compared
+    EXPECT_EQ(alone[4], 1u);
 }
 
 // --- the checker itself must catch violations ---

@@ -11,10 +11,14 @@
  *
  * Each run is `bulksc_sim --procs 4 --instrs 20000 ARGS` with every
  * other option at its default (model BSCdypvt).
+ *
+ * Also pins the set of statistics keys (the numeric `--json` keys)
+ * each `--check` selection produces.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,9 +52,15 @@ runCli(std::vector<const char *> args)
         OptionGroup::Sim, err))
         << err;
     EXPECT_TRUE(opts.cfg.validate(err)) << err;
-    System sys(opts.cfg,
-               generateTraces(profileByName(opts.app), opts.cfg.numProcs,
-                              opts.instrs, opts.seedSalt));
+    // As bulksc_sim applies --check.
+    AppProfile app = profileByName(opts.app);
+    app.trackAllValues = opts.checks.replay;
+    System sys(opts.cfg, generateTraces(app, opts.cfg.numProcs,
+                                        opts.instrs, opts.seedSalt));
+    if (opts.checks.any()) {
+        sys.enableAnalysis(opts.checks.axiomatic, opts.checks.race,
+                           opts.checks.replay);
+    }
     return sys.run();
 }
 
@@ -82,6 +92,91 @@ TEST(StatsPin, SignatureSensitiveCountersAreUnchanged)
                   pin.falsePositiveSquashes);
         EXPECT_EQ(r.stats.get("arb.denials"), pin.arbDenials);
     }
+}
+
+using KeySet = std::set<std::string>;
+
+KeySet
+statKeys(std::vector<const char *> args)
+{
+    args.insert(args.begin(), {"--app", "ocean"});
+    Results r = runCli(args);
+    KeySet keys;
+    for (const auto &[k, v] : r.stats.entries())
+        keys.insert(k);
+    return keys;
+}
+
+KeySet
+operator+(KeySet a, const KeySet &b)
+{
+    a.insert(b.begin(), b.end());
+    return a;
+}
+
+TEST(StatsPin, JsonKeySetPerCheckSelection)
+{
+    const KeySet base = {
+    "arb.avg_pending_w", "arb.commit_occupancy.max",
+    "arb.commit_occupancy.mean", "arb.commit_occupancy.min",
+    "arb.commit_occupancy.p50", "arb.commit_occupancy.p90",
+    "arb.commit_occupancy.p99", "arb.commit_occupancy.samples",
+    "arb.denials", "arb.empty_w_pct", "arb.fault_injected_grants",
+    "arb.grants", "arb.non_empty_pct", "arb.pre_arbitrations",
+    "arb.requests", "arb.rsig_required_pct", "bulk.aborted_grants",
+    "bulk.arb_latency.max", "bulk.arb_latency.mean",
+    "bulk.arb_latency.min", "bulk.arb_latency.p50",
+    "bulk.arb_latency.p90", "bulk.arb_latency.p99",
+    "bulk.arb_latency.samples", "bulk.avg_priv_write_set",
+    "bulk.avg_read_set", "bulk.avg_write_set", "bulk.base_writebacks",
+    "bulk.commits", "bulk.denied_commits", "bulk.empty_w_pct",
+    "bulk.inval_nodes_total", "bulk.nodes_per_wsig",
+    "bulk.pre_arbitrations", "bulk.priv_buffer_overflows",
+    "bulk.priv_buffer_supplies", "bulk.spec_read_displacements",
+    "bulk.spec_write_displacements", "bulk.squash.false_positive",
+    "bulk.squash.true_conflict", "bulk.squash.unattributed",
+    "bulk.squash_chunk_size.max", "bulk.squash_chunk_size.mean",
+    "bulk.squash_chunk_size.min", "bulk.squash_chunk_size.p50",
+    "bulk.squash_chunk_size.p90", "bulk.squash_chunk_size.p99",
+    "bulk.squash_chunk_size.samples", "bulk.squash_restart.max",
+    "bulk.squash_restart.mean", "bulk.squash_restart.min",
+    "bulk.squash_restart.p50", "bulk.squash_restart.p90",
+    "bulk.squash_restart.p99", "bulk.squash_restart.samples",
+    "cpu.retired_instrs", "cpu.spin_instrs", "cpu.squashed_instr_pct",
+    "cpu.squashes", "cpu.wasted_instrs", "exec_time",
+    "mem.bounced_reads", "mem.dir_alias_lookups",
+    "mem.dir_alias_updates", "mem.dir_commit_service.max",
+    "mem.dir_commit_service.mean", "mem.dir_commit_service.min",
+    "mem.dir_commit_service.p50", "mem.dir_commit_service.p90",
+    "mem.dir_commit_service.p99", "mem.dir_commit_service.samples",
+    "mem.dir_displacements", "mem.dir_lookups", "mem.dir_updates",
+    "mem.extra_invals", "mem.fill_bypasses", "mem.invalidations",
+    "mem.l1_hits", "mem.l1_misses", "mem.writebacks", "model_is_bulk",
+    "net.bits.Inv", "net.bits.Other", "net.bits.RdSig", "net.bits.RdWr",
+    "net.bits.WrSig", "net.bits.total", "net.messages",
+    "net.queueing_cycles", "net.share.Inv", "net.share.Other",
+    "net.share.RdSig", "net.share.RdWr", "net.share.WrSig",
+    "watchdog.checks", "watchdog.rescues", "watchdog.verdict",
+    };
+    const KeySet replay = {"analysis.chunks", "sc_verifier.chunks",
+                           "sc_verifier.errors", "sc_verifier.reads",
+                           "sc_verifier.verified"};
+    const KeySet axiomatic_race = {
+        "analysis.checked_accesses", "analysis.chunks",
+        "analysis.edges_co",         "analysis.edges_fr",
+        "analysis.edges_po",         "analysis.edges_rf",
+        "analysis.graph_edges",      "analysis.graph_nodes",
+        "analysis.races",            "analysis.racy_addrs",
+        "analysis.sc_cycles",        "analysis.sc_ok",
+        "analysis.sync_ops",         "analysis.unmatched_reads",
+    };
+    EXPECT_EQ(base.size(), 97u);
+    EXPECT_EQ(statKeys({}), base);
+    EXPECT_EQ(statKeys({"--check", "replay"}), base + replay);
+    EXPECT_EQ(statKeys({"--check", "axiomatic,race"}),
+              base + axiomatic_race);
+    EXPECT_EQ(statKeys({"--check", "axiomatic,race,replay"}),
+              base + axiomatic_race + replay);
 }
 
 } // namespace

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the trace-logging subsystem.
+ * Unit tests for the trace categories and the event trace's text sink
+ * (the textual debug log): category parsing, the per-sink masks, and
+ * the line each event prints.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/trace_log.hh"
+#include "sim/event_trace.hh"
 
 namespace bulksc {
 namespace {
@@ -13,27 +15,48 @@ namespace {
 class TraceLogTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { saved = traceCategories(); }
-    void TearDown() override { setTraceCategories(saved); }
+    void
+    SetUp() override
+    {
+        saved = EventTrace::instance().textCategories();
+    }
+
+    void
+    TearDown() override
+    {
+        EventTrace::instance().setTextCategories(saved);
+        EventTrace::instance().disable();
+        EventTrace::instance().clear();
+    }
 
     std::uint32_t saved = 0;
 };
 
 TEST_F(TraceLogTest, DisabledByDefaultInTests)
 {
-    setTraceCategories(0);
-    EXPECT_FALSE(traceEnabled(TraceCat::Chunk));
-    EXPECT_FALSE(traceEnabled(TraceCat::Squash));
+    EventTrace::instance().setTextCategories(0);
+    EXPECT_FALSE(eventTraceEnabled());
+    testing::internal::CaptureStderr();
+    EventTrace::instance().record(TraceEventType::ChunkStart, 1,
+                                  trackProc(0));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST_F(TraceLogTest, EnableSpecificCategories)
 {
-    setTraceCategories(static_cast<std::uint32_t>(TraceCat::Commit) |
-                       static_cast<std::uint32_t>(TraceCat::Squash));
-    EXPECT_TRUE(traceEnabled(TraceCat::Commit));
-    EXPECT_TRUE(traceEnabled(TraceCat::Squash));
-    EXPECT_FALSE(traceEnabled(TraceCat::Chunk));
-    EXPECT_FALSE(traceEnabled(TraceCat::Mem));
+    EventTrace::instance().setTextCategories(
+        static_cast<std::uint32_t>(TraceCat::Commit) |
+        static_cast<std::uint32_t>(TraceCat::Squash));
+    EXPECT_TRUE(eventTraceEnabled());
+    testing::internal::CaptureStderr();
+    EVENT_TRACE(TraceEventType::ArbGrant, 5, trackProc(1), 3);
+    EVENT_TRACE(TraceEventType::Squash, 6, trackProc(1), 4, 1);
+    EVENT_TRACE(TraceEventType::ChunkStart, 7, trackProc(1), 5, 100);
+    std::string out = testing::internal::GetCapturedStderr();
+    EXPECT_NE(out.find("[commit] cpu1 arb-grant seq=3"),
+              std::string::npos);
+    EXPECT_NE(out.find("[squash] cpu1 squash seq=4"), std::string::npos);
+    EXPECT_EQ(out.find("chunk-start"), std::string::npos);
 }
 
 TEST_F(TraceLogTest, ParseCommaSeparatedList)
@@ -47,11 +70,8 @@ TEST_F(TraceLogTest, ParseCommaSeparatedList)
 TEST_F(TraceLogTest, ParseAll)
 {
     std::uint32_t m = parseTraceCategories("all");
-    for (TraceCat c : {TraceCat::Chunk, TraceCat::Commit,
-                       TraceCat::Squash, TraceCat::Coherence,
-                       TraceCat::Sync, TraceCat::Mem}) {
-        EXPECT_TRUE(m & static_cast<std::uint32_t>(c));
-    }
+    for (const TraceCatName &c : kTraceCats)
+        EXPECT_TRUE(m & static_cast<std::uint32_t>(c.cat));
 }
 
 TEST_F(TraceLogTest, ParseIgnoresUnknownNames)
@@ -59,6 +79,7 @@ TEST_F(TraceLogTest, ParseIgnoresUnknownNames)
     detail::resetUnknownTraceCatWarning();
     testing::internal::CaptureStderr();
     EXPECT_EQ(parseTraceCategories("bogus,nothing"), 0u);
+    EXPECT_EQ(parseTraceCategories("mem"), 0u); // no such category
     EXPECT_EQ(parseTraceCategories(""), 0u);
     testing::internal::GetCapturedStderr();
 }
@@ -86,7 +107,9 @@ TEST_F(TraceLogTest, UnknownNameWarnsExactlyOnce)
     std::string first = testing::internal::GetCapturedStderr();
     EXPECT_NE(first.find("unknown trace category 'frobnicate'"),
               std::string::npos);
-    EXPECT_NE(first.find("chunk,commit,squash"), std::string::npos);
+    // The warning lists the category table.
+    EXPECT_NE(first.find("(known: " + traceCatList() + ")"),
+              std::string::npos);
 
     // Subsequent unknown names stay silent until re-armed.
     testing::internal::CaptureStderr();
@@ -104,34 +127,94 @@ TEST_F(TraceLogTest, KnownNamesNeverWarn)
 {
     detail::resetUnknownTraceCatWarning();
     testing::internal::CaptureStderr();
-    parseTraceCategories("chunk,commit,squash,coherence,sync,mem,all");
+    EXPECT_EQ(parseTraceCategories(traceCatList()), ~std::uint32_t{0});
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(traceCatList(), "chunk,commit,squash,coherence,sync,"
+                              "analysis,fault,watchdog,all");
 }
 
 TEST_F(TraceLogTest, NamesRoundTrip)
 {
-    for (TraceCat c : {TraceCat::Chunk, TraceCat::Commit,
-                       TraceCat::Squash, TraceCat::Coherence,
-                       TraceCat::Sync, TraceCat::Mem}) {
-        std::uint32_t m = parseTraceCategories(traceCatName(c));
-        EXPECT_EQ(m, static_cast<std::uint32_t>(c));
+    for (const TraceCatName &c : kTraceCats) {
+        EXPECT_STREQ(traceCatName(c.cat), c.name);
+        EXPECT_EQ(parseTraceCategories(c.name),
+                  static_cast<std::uint32_t>(c.cat));
+    }
+}
+
+/** A category that no event type belongs to would record nothing. */
+TEST_F(TraceLogTest, EveryCategoryHasAnEventType)
+{
+    for (const TraceCatName &c : kTraceCats) {
+        bool used = false;
+        for (unsigned t = 0;
+             t < static_cast<unsigned>(TraceEventType::NumTypes); ++t) {
+            used |= traceEventCat(static_cast<TraceEventType>(t)) == c.cat;
+        }
+        EXPECT_TRUE(used) << c.name;
     }
 }
 
 TEST_F(TraceLogTest, MacroCompilesAndRespectsMask)
 {
-    setTraceCategories(0);
-    // Must not print (and must not evaluate visibly); mainly a
-    // compile/behaviour smoke test.
-    TRACE_LOG(TraceCat::Chunk, 123, "never shown ", 42);
-    setTraceCategories(
+    EventTrace::instance().setTextCategories(0);
+    testing::internal::CaptureStderr();
+    EVENT_TRACE(TraceEventType::ChunkStart, 123, trackProc(2), 7, 1000);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+    EventTrace::instance().setTextCategories(
         static_cast<std::uint32_t>(TraceCat::Chunk));
     testing::internal::CaptureStderr();
-    TRACE_LOG(TraceCat::Chunk, 123, "hello ", 42);
+    EVENT_TRACE(TraceEventType::ChunkStart, 123, trackProc(2), 7, 1000,
+                0, 55);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "       123: [chunk] cpu2 chunk-start seq=7 target=1000 "
+              "op=55\n");
+}
+
+TEST_F(TraceLogTest, LinesNameTheCause)
+{
+    EventTrace::instance().setTextCategories(~std::uint32_t{0});
+    testing::internal::CaptureStderr();
+    EVENT_TRACE(TraceEventType::ArbDecision, 9, trackArb(0), 0, 1, 2, 3);
+    EVENT_TRACE(TraceEventType::Squash, 10, trackProc(0), 4, 1,
+                static_cast<std::uint8_t>(SquashCause::TrueConflict),
+                17);
+    EVENT_TRACE(TraceEventType::DirBounce, 11, trackDir(1), 0, 64, 3);
     std::string out = testing::internal::GetCapturedStderr();
-    EXPECT_NE(out.find("hello 42"), std::string::npos);
-    EXPECT_NE(out.find("[chunk]"), std::string::npos);
-    EXPECT_NE(out.find("123"), std::string::npos);
+    EXPECT_NE(out.find("arbiter0 arb-decision seq=0 pending_w=1 proc=3 "
+                       "(fault-injected grant)\n"),
+              std::string::npos);
+    EXPECT_NE(out.find("cpu0 squash seq=4 chunks=1 rollback_op=17 "
+                       "(true-conflict)\n"),
+              std::string::npos);
+    EXPECT_NE(out.find("dir1 dir-bounce seq=0 line=64 cause=3\n"),
+              std::string::npos);
+}
+
+/** The ring and the text sink filter independently; per-type counts
+ *  follow the ring only. */
+TEST_F(TraceLogTest, SinkMasksAreIndependent)
+{
+    EventTrace &et = EventTrace::instance();
+    et.setTextCategories(static_cast<std::uint32_t>(TraceCat::Chunk));
+    et.enable(static_cast<std::uint32_t>(TraceCat::Squash));
+    testing::internal::CaptureStderr();
+    EVENT_TRACE(TraceEventType::ChunkStart, 1, trackProc(0), 1, 10);
+    EVENT_TRACE(TraceEventType::Squash, 2, trackProc(0), 1, 1);
+    std::string out = testing::internal::GetCapturedStderr();
+    EXPECT_NE(out.find("chunk-start"), std::string::npos);
+    EXPECT_EQ(out.find("squash"), std::string::npos);
+    EXPECT_EQ(et.count(TraceEventType::ChunkStart), 0u);
+    EXPECT_EQ(et.count(TraceEventType::Squash), 1u);
+    EXPECT_EQ(et.recorded(), 1u);
+
+    // With the ring off the gate stays open for the text sink.
+    et.disable();
+    EXPECT_TRUE(eventTraceEnabled());
+    EXPECT_FALSE(et.ringEnabled());
+    et.setTextCategories(0);
+    EXPECT_FALSE(eventTraceEnabled());
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/event_trace.hh"
 #include "system/sim_options.hh"
 
 namespace bulksc {
@@ -236,6 +237,15 @@ TEST(SimOptions, CheckListParsing)
 
     EXPECT_FALSE(parseArgs({"--check", "axiomatic,wat"}, opts, err));
     EXPECT_NE(err.find("wat"), std::string::npos) << err;
+}
+
+TEST(SimOptions, TraceCatsHelpListsEveryCategory)
+{
+    const OptionDesc *d = OptionRegistry::instance().find("trace-cats");
+    ASSERT_NE(d, nullptr);
+    EXPECT_NE(d->help.find(traceCatList()), std::string::npos) << d->help;
+    for (const TraceCatName &c : kTraceCats)
+        EXPECT_NE(d->help.find(c.name), std::string::npos);
 }
 
 } // namespace
