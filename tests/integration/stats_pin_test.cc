@@ -74,6 +74,21 @@ TEST(StatsPin, SignatureSensitiveCountersAreUnchanged)
          12090, 2190, 1486, 61, 4, 7},
         {{"--app", "ocean", "--dir-cache", "128"},
          32225, 1653, 52, 7, 8, 84},
+        // Multi-module runs: the commit visits its directory modules
+        // in ascending order, whatever order the written lines'
+        // container iterates in.
+        {{"--app", "radix", "--dirs", "4", "--arbiters", "4"},
+         12059, 1284, 603, 14, 2, 28},
+        {{"--app", "sjbb2k", "--dirs", "4", "--arbiters", "4"},
+         12919, 663, 163, 1, 8, 3},
+        {{"--app", "ocean", "--model", "BSCexact"},
+         12569, 325, 0, 0, 0, 0},
+        {{"--app", "ocean", "--model", "BSCbase"},
+         12590, 1790, 525, 34, 4, 4},
+        {{"--app", "ocean", "--model", "BSCstpvt"},
+         12585, 1444, 189, 15, 2, 1},
+        // Without the exact mirror nothing is attributed to aliasing.
+        {{"--app", "ocean", "--no-exact-stats"}, 12569, 443, 0, 0, 0, 2},
     };
     for (const Pin &pin : pins) {
         std::string name;
