@@ -16,11 +16,11 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/access_log.hh"
 #include "signature/signature.hh"
+#include "sim/line_set.hh"
 #include "sim/types.hh"
 
 namespace bulksc {
@@ -38,14 +38,14 @@ class PrivateBuffer
 
     bool full() const { return lines.size() >= cap; }
 
-    bool contains(LineAddr l) const { return lines.count(l) != 0; }
+    bool contains(LineAddr l) const { return lines.contains(l); }
 
     /** @return false if the buffer is full (caller must fall back to
      *  writeback + W insertion). */
     bool
     insert(LineAddr l)
     {
-        if (lines.count(l))
+        if (lines.contains(l))
             return true;
         if (full())
             return false;
@@ -63,12 +63,10 @@ class PrivateBuffer
 
     unsigned highWatermark() const { return highWater; }
 
-    const std::unordered_set<LineAddr> &entries() const { return lines; }
-
   private:
     unsigned cap;
     unsigned highWater = 0;
-    std::unordered_set<LineAddr> lines;
+    LineSet lines;
 };
 
 /**
@@ -108,8 +106,8 @@ struct Chunk
      * and directory selection at commit read them, so they are
      * maintained in every mode. Writes only — loads stay mirror-free.
      */
-    std::unordered_set<LineAddr> wLines;
-    std::unordered_set<LineAddr> wprivLines;
+    LineSet wLines;
+    LineSet wprivLines;
 
     /** Insert into W and its exact line set. */
     void
@@ -145,7 +143,7 @@ struct Chunk
     std::vector<LineAddr> privBufLines;
 
     /** Store lines not yet present in the L1 (commit must wait). */
-    std::unordered_set<LineAddr> outstandingStoreLines;
+    LineSet outstandingStoreLines;
 
     /** Forwarding-log entries not yet drained into R (the window of
      *  vulnerability of Section 3.2.1). */

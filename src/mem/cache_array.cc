@@ -63,9 +63,10 @@ CacheArray::CacheArray(const CacheGeometry &g)
     : geom(g)
 {
     geom.validate();
+    setMask = geom.numSets() - 1;
     // Not cleared on purpose: insert() readies each set on first use.
     lines = {takeLines(geom.numLines()), RecycleLines{geom.numLines()}};
-    readySets.resize((geom.numSets() + 63) / 64);
+    readySets.resize((numSets() + 63) / 64);
 }
 
 void
@@ -79,7 +80,7 @@ CacheArray::RecycleLines::operator()(CacheLine *storage) const
 CacheLine *
 CacheArray::findWay(LineAddr line)
 {
-    std::uint32_t set = geom.setIndex(line);
+    std::uint32_t set = setIndex(line);
     if (!isReady(set))
         return nullptr;
     CacheLine *base = setBase(set);
@@ -106,7 +107,7 @@ CacheArray::lookup(LineAddr line)
 const CacheLine *
 CacheArray::peek(LineAddr line) const
 {
-    std::uint32_t set = geom.setIndex(line);
+    std::uint32_t set = setIndex(line);
     if (!isReady(set))
         return nullptr;
     const CacheLine *base = setBase(set);
@@ -123,7 +124,7 @@ CacheArray::insert(LineAddr line, LineState state,
                    std::optional<Victim> &victim)
 {
     victim.reset();
-    std::uint32_t set = geom.setIndex(line);
+    std::uint32_t set = setIndex(line);
     CacheLine *base = setBase(set);
     if (!isReady(set)) {
         for (unsigned w = 0; w < geom.assoc; ++w)
@@ -213,7 +214,7 @@ CacheArray::assign(CacheLine &l, LineAddr line, LineState state)
 unsigned
 CacheArray::countVetoed(LineAddr line, const VictimFilter &filter) const
 {
-    std::uint32_t set = geom.setIndex(line);
+    std::uint32_t set = setIndex(line);
     if (!isReady(set))
         return 0;
     const CacheLine *base = setBase(set);
@@ -242,8 +243,8 @@ CacheArray::forEachInSet(std::uint32_t set_idx,
 void
 CacheArray::forEach(const std::function<void(const CacheLine &)> &fn) const
 {
-    for (std::uint32_t set = 0; set < geom.numSets(); ++set)
-        forEachInSet(set, fn);
+    for (std::uint64_t set = 0; set <= setMask; ++set)
+        forEachInSet(static_cast<std::uint32_t>(set), fn);
 }
 
 } // namespace bulksc

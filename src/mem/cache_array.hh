@@ -117,6 +117,16 @@ class CacheArray
 
     const CacheGeometry &geometry() const { return geom; }
 
+    /** Number of sets (a power of two; validated at construction). */
+    std::uint64_t numSets() const { return setMask + 1; }
+
+    /** Set index of a line address: its low-order bits. */
+    std::uint32_t
+    setIndex(LineAddr line) const
+    {
+        return static_cast<std::uint32_t>(line & setMask);
+    }
+
     std::uint64_t hits() const { return nHits; }
     std::uint64_t misses() const { return nMisses; }
 
@@ -161,6 +171,7 @@ class CacheArray
     void assign(CacheLine &l, LineAddr line, LineState state);
 
     CacheGeometry geom;
+    std::uint64_t setMask = 0; //!< numSets() - 1
     //! numLines() entries, set-major; unready sets hold garbage
     std::unique_ptr<CacheLine[], RecycleLines> lines;
     std::vector<std::uint64_t> readySets; //!< one bit per set

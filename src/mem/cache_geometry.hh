@@ -31,13 +31,6 @@ struct CacheGeometry
         return numLines() / assoc;
     }
 
-    /** Set index of a line address. */
-    std::uint32_t
-    setIndex(LineAddr line) const
-    {
-        return static_cast<std::uint32_t>(line % numSets());
-    }
-
     void
     validate() const
     {

@@ -140,7 +140,7 @@ Signature::contains(LineAddr line) const
 bool
 Signature::containsExact(LineAddr line) const
 {
-    return exactSet.count(line) != 0;
+    return exactSet.contains(line);
 }
 
 bool
@@ -205,7 +205,7 @@ Signature::intersectsExact(const Signature &other) const
         exactSet.size() <= other.exactSet.size() ? other.exactSet
                                                  : exactSet;
     for (LineAddr l : small) {
-        if (big.count(l))
+        if (big.contains(l))
             return true;
     }
     return false;
@@ -220,7 +220,8 @@ Signature::unionWith(const Signature &other)
     for (std::size_t i = 0; i < bits.size(); ++i)
         bits[i] |= other.bits[i];
     cachedHash.reset();
-    exactSet.insert(other.exactSet.begin(), other.exactSet.end());
+    for (LineAddr l : other.exactSet)
+        exactSet.insert(l);
 }
 
 void

@@ -34,9 +34,9 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/line_set.hh"
 #include "sim/types.hh"
 
 namespace bulksc {
@@ -58,8 +58,8 @@ struct SignatureConfig
      * mirror is simulation metadata: it feeds statistics (true set
      * sizes, aliasing rates, squash attribution) and the distributed
      * arbiter's range partitioning. Plain timing runs can turn it off
-     * so the hot path never touches an unordered_set; exec times are
-     * unaffected. Forced on for exact mode (the mirror IS the
+     * so the hot path never touches the mirror's LineSet; exec times
+     * are unaffected. Forced on for exact mode (the mirror IS the
      * signature there) and for multi-module arbiters.
      */
     bool trackExact = true;
@@ -166,10 +166,7 @@ class Signature
     std::size_t exactSize() const { return exactSet.size(); }
 
     /** The exact mirror set (simulation metadata). */
-    const std::unordered_set<LineAddr> &exactLines() const
-    {
-        return exactSet;
-    }
+    const LineSet &exactLines() const { return exactSet; }
 
     /**
      * Size of this signature when transferred on the interconnect, in
@@ -215,7 +212,7 @@ class Signature
     std::vector<std::uint64_t> bits;
 
     /** Exact mirror of inserted lines. */
-    std::unordered_set<LineAddr> exactSet;
+    LineSet exactSet;
 
     /** hash() of the current bits; reset by every bit change. */
     mutable std::optional<std::uint64_t> cachedHash;

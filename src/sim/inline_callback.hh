@@ -36,6 +36,10 @@ class InlineCallback
 
     InlineCallback() noexcept = default;
 
+    /** Empty, like the default; lets callers pass nullptr for "no
+     *  continuation" as they would to a std::function. */
+    InlineCallback(std::nullptr_t) noexcept {} // NOLINT: implicit
+
     template <typename F,
               typename = std::enable_if_t<!std::is_same_v<
                   std::decay_t<F>, InlineCallback>>>

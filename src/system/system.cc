@@ -4,6 +4,7 @@
 #include "cpu/sc_processor.hh"
 #include "cpu/scpp_processor.hh"
 #include "cpu/tso_processor.hh"
+#include "sim/line_set.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workload/generator.hh"
@@ -154,21 +155,23 @@ System::run(Tick limit)
         // steady-state pattern the dypvt optimization captures.
         for (unsigned p = 0; p < procs.size(); ++p) {
             const Trace &t = traces[p];
-            std::unordered_map<LineAddr, bool> first; // line -> dirty
+            LineSet seen;       // lines touched so far
+            LineSet firstDirty; // those warmed dirty-owned
             std::vector<LineAddr> order;
             for (const Op &op : t.ops) {
                 if (op.addr >= layout::kStreamBase)
                     continue;
                 LineAddr line = lineOf(op.addr, cfg.mem.l1.lineBytes);
                 memSys->warmLine(line);
-                if (first.count(line))
+                if (!seen.insert(line))
                     continue;
                 bool priv =
                     (op.addr >= layout::kStackBase &&
                      op.addr < layout::kSharedBase) ||
                     op.addr >= layout::kLockBase;
-                first[line] = op.type == OpType::Store && priv &&
-                              op.addr < layout::kLockBase;
+                if (op.type == OpType::Store && priv &&
+                    op.addr < layout::kLockBase)
+                    firstDirty.insert(line);
                 order.push_back(line);
             }
             // The earliest-touched lines should be resident (and most
@@ -179,7 +182,7 @@ System::run(Tick limit)
             if (count > cfg.mem.l1.numLines())
                 count = cfg.mem.l1.numLines();
             for (std::size_t i = count; i-- > 0;)
-                memSys->warmL1(p, order[i], first[order[i]]);
+                memSys->warmL1(p, order[i], firstDirty.contains(order[i]));
         }
     }
     for (auto &p : procs)

@@ -50,7 +50,7 @@ class EagerArray
            std::optional<Victim> &victim)
     {
         victim.reset();
-        CacheLine *base = set(geom.setIndex(line));
+        CacheLine *base = set(setOf(line));
         CacheLine *target = find(line);
         for (unsigned w = 0; !target && w < geom.assoc; ++w) {
             if (!base[w].valid())
@@ -99,7 +99,7 @@ class EagerArray
     unsigned
     countVetoed(LineAddr line, const CacheArray::VictimFilter &filter)
     {
-        const CacheLine *base = set(geom.setIndex(line));
+        const CacheLine *base = set(setOf(line));
         unsigned n = 0;
         for (unsigned w = 0; w < geom.assoc; ++w) {
             if (base[w].valid() && filter && !filter(base[w].line))
@@ -133,10 +133,17 @@ class EagerArray
         return &lines[std::size_t{idx} * geom.assoc];
     }
 
+    /** Set of @p line by division, independent of the array's mask. */
+    std::uint32_t
+    setOf(LineAddr line) const
+    {
+        return static_cast<std::uint32_t>(line % geom.numSets());
+    }
+
     CacheLine *
     find(LineAddr line)
     {
-        CacheLine *base = set(geom.setIndex(line));
+        CacheLine *base = set(setOf(line));
         for (unsigned w = 0; w < geom.assoc; ++w) {
             if (base[w].valid() && base[w].line == line)
                 return &base[w];

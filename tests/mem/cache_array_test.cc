@@ -24,7 +24,10 @@ TEST(CacheGeometry, DerivedQuantities)
     CacheGeometry g{32 * 1024, 4, 32};
     EXPECT_EQ(g.numLines(), 1024u);
     EXPECT_EQ(g.numSets(), 256u);
-    EXPECT_EQ(g.setIndex(0x100), 0x100u % 256);
+    CacheArray c(g);
+    EXPECT_EQ(c.numSets(), 256u);
+    EXPECT_EQ(c.setIndex(0x100), 0x100u % 256);
+    EXPECT_EQ(c.setIndex(0x1234'5678'9abcULL), 0x1234'5678'9abcULL % 256);
 }
 
 TEST(CacheArray, MissThenHit)

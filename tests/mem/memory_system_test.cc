@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "mem/memory_system.hh"
 
 namespace bulksc {
@@ -156,6 +158,35 @@ TEST(MemorySystem, MshrCoalescingSingleFetch)
     EXPECT_EQ(fills, 3);
     // One request + one response (same line), not three.
     EXPECT_LE(h.net.messages() - msgs_before, 2u);
+}
+
+// The first waiter of an MSHR is kept inline and later ones in a
+// vector; either way, completions run in arrival order. Covers an
+// active MSHR and one queued behind a full MSHR file, a waiterless
+// first access, and a capture too large to be stored inline.
+TEST(MemorySystem, CoalescedWaitersFireInArrivalOrder)
+{
+    MemParams p;
+    p.l1Mshrs = 1;
+    Harness h(p);
+    std::vector<int> order;
+    std::array<std::uint64_t, 12> big{}; // beyond the inline budget
+    auto waiter = [&order](int id) {
+        return [&order, id] { order.push_back(id); };
+    };
+
+    // Line A takes the only MSHR; line B queues behind it.
+    h.mem.access(0, 0x7000, MemCmd::Read, nullptr);
+    h.mem.access(0, 0x7008, MemCmd::Read, waiter(1));
+    h.mem.access(0, 0x7010, MemCmd::Read,
+                 [&order, big] { order.push_back(2 + int(big[0])); });
+    h.mem.access(0, 0x7018, MemCmd::Read, waiter(3));
+    h.mem.access(0, 0x9000, MemCmd::Read, waiter(4));
+    h.mem.access(0, 0x9008, MemCmd::Read, nullptr);
+    h.mem.access(0, 0x9010, MemCmd::Read, waiter(5));
+    h.mem.access(0, 0x9018, MemCmd::Read, waiter(6));
+    h.eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(MemorySystem, MshrQueueingBeyondCapacity)

@@ -141,7 +141,7 @@ main(int argc, char **argv)
     SimOptions opts;
     // A batch run is a timing sweep: skip the signatures' exact stats
     // mirror unless explicitly requested (--exact-stats), so the hot
-    // path never maintains per-signature unordered_sets. Forced back
+    // path never maintains per-signature mirror sets. Forced back
     // on by resolve() where it is functional (BSCexact, multi-module
     // arbiters).
     opts.cfg.bulk.sigCfg.trackExact = false;
