@@ -77,8 +77,10 @@ Explorer::runOne(const Schedule &prefix) const
     System sys(ecfg.machine, makeTraces());
     ctrl.setFingerprintFn([&sys] { return sys.stateFingerprint(); });
     sys.setScheduleController(&ctrl);
-    if (ecfg.checkAxiomatic || ecfg.checkRace)
-        sys.enableAnalysis(ecfg.checkAxiomatic, ecfg.checkRace);
+    if (ecfg.checkAxiomatic || ecfg.checkRace || ecfg.checkReplay) {
+        sys.enableAnalysis(ecfg.checkAxiomatic, ecfg.checkRace,
+                           ecfg.checkReplay);
+    }
 
     Results res = sys.run(ecfg.tickLimit);
 
@@ -92,6 +94,8 @@ Explorer::runOne(const Schedule &prefix) const
         if (eng->graph() && !eng->graph()->violations().empty()) {
             out.detail = eng->graph()->describe(
                 eng->graph()->violations().front());
+        } else if (eng->replay() && !eng->replay()->errors().empty()) {
+            out.detail = eng->replay()->errors().front();
         }
         return out;
     }

@@ -75,6 +75,7 @@ struct ExploreConfig
 
     bool checkAxiomatic = true;
     bool checkRace = false;
+    bool checkReplay = false; //!< serial value replay
 
     bool por = true;     //!< signature-based partial-order reduction
     bool fpPrune = true; //!< fingerprint revisit pruning

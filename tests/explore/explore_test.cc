@@ -339,6 +339,30 @@ TEST(Explorer, FaultedArbiterYieldsMinimizedReplayableCex)
     EXPECT_EQ(min.verdict, ExploreVerdict::ScViolation);
 }
 
+// With only the value replay selected the engine is still attached:
+// the replay flags the faulted arbiter's violation as an SC violation
+// before the litmus outcome check (which needs no engine) sees it.
+TEST(Explorer, ReplayOnlyExplorationAttachesTheEngine)
+{
+    ExploreConfig ec = litmusConfig("sb");
+    ec.machine.faults = "arb.skip_collision=1,net.delay=0:40";
+    ec.maxSchedules = 2000;
+    ec.minimize = false;
+    ec.checkAxiomatic = false;
+    ec.checkReplay = true;
+    ExploreResult r = Explorer(ec).explore();
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.verdict, ExploreVerdict::ScViolation);
+    EXPECT_NE(r.detail.find("replay"), std::string::npos) << r.detail;
+
+    // Without any checker the same exploration finds the outcome
+    // only through the litmus check.
+    ec.checkReplay = false;
+    ExploreResult none = Explorer(ec).explore();
+    ASSERT_TRUE(none.found);
+    EXPECT_EQ(none.verdict, ExploreVerdict::LitmusForbidden);
+}
+
 TEST(Explorer, StopAtFirstOffCountsEveryViolation)
 {
     ExploreConfig ec = litmusConfig("sb");

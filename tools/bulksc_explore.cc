@@ -135,6 +135,7 @@ main(int argc, char **argv)
     if (opts.checks.any()) {
         ec.checkAxiomatic = opts.checks.axiomatic;
         ec.checkRace = opts.checks.race;
+        ec.checkReplay = opts.checks.replay;
     }
 
     ec.por = opts.explore.por;
