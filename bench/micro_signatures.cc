@@ -6,11 +6,14 @@
  * BDM, arbiter, and DirBDM perform on every access/commit — plus a
  * chunk's signature construction and DirBDM signature expansion, and
  * the flat LineSet (exact mirrors, chunk line sets) against the
- * std::unordered_set it replaced.
+ * std::unordered_set it replaced, and its keyed form LineMap (the
+ * directory index, the speculative-line counts, the value store)
+ * against std::unordered_map.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -243,6 +246,93 @@ BM_SetErase(benchmark::State &state)
 BENCHMARK_TEMPLATE(BM_SetErase, LineSet)
     ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_SetErase, UnorderedSet)
+    ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
+// LineMap against std::unordered_map, with the directory index's
+// 32-bit values, at the same sizes (the arg is the number of keys).
+
+using LineMap32 = LineMap<std::uint32_t>;
+using UnorderedMap = std::unordered_map<LineAddr, std::uint32_t>;
+
+const std::uint32_t *
+lookup(const LineMap32 &m, LineAddr l)
+{
+    return m.find(l);
+}
+
+const std::uint32_t *
+lookup(const UnorderedMap &m, LineAddr l)
+{
+    auto it = m.find(l);
+    return it == m.end() ? nullptr : &it->second;
+}
+
+/** Build a map of arg keys from empty. */
+template <typename Map>
+void
+BM_MapInsert(benchmark::State &state)
+{
+    const auto lines = randomLines(state.range(0), 17);
+    for (auto _ : state) {
+        Map m;
+        std::uint32_t v = 0;
+        for (LineAddr l : lines)
+            m.try_emplace(l, v++);
+        benchmark::DoNotOptimize(m);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(lines.size()));
+}
+BENCHMARK_TEMPLATE(BM_MapInsert, LineMap32)
+    ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_MapInsert, UnorderedMap)
+    ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
+/** Value lookups against arg keys, half of them hits. */
+template <typename Map>
+void
+BM_MapFind(benchmark::State &state)
+{
+    const auto lines = randomLines(state.range(0), 18);
+    const auto misses = randomLines(state.range(0), 19);
+    Map m;
+    for (LineAddr l : lines)
+        m.try_emplace(l, 1);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(lookup(m, lines[i]));
+        benchmark::DoNotOptimize(lookup(m, misses[i]));
+        i = i + 1 == lines.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK_TEMPLATE(BM_MapFind, LineMap32)
+    ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_MapFind, UnorderedMap)
+    ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
+/** Erase one key of a map of arg keys and put it back (the churn of
+ *  the speculative-line counts); one item per erase. */
+template <typename Map>
+void
+BM_MapErase(benchmark::State &state)
+{
+    const auto lines = randomLines(state.range(0), 20);
+    Map m;
+    for (LineAddr l : lines)
+        m.try_emplace(l, 1);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        m.erase(lines[i]);
+        m.try_emplace(lines[i], 1);
+        i = i + 1 == lines.size() ? 0 : i + 1;
+    }
+    benchmark::DoNotOptimize(m);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_MapErase, LineMap32)
+    ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK_TEMPLATE(BM_MapErase, UnorderedMap)
     ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 
 } // namespace

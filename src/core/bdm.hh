@@ -109,20 +109,22 @@ struct Chunk
     LineSet wLines;
     LineSet wprivLines;
 
-    /** Insert into W and its exact line set. */
-    void
+    /** Insert into W and its exact line set. @return true iff the
+     *  line is new to wLines. */
+    bool
     addW(LineAddr l)
     {
         w.insert(l);
-        wLines.insert(l);
+        return wLines.insert(l);
     }
 
-    /** Insert into Wpriv and its exact line set. */
-    void
+    /** Insert into Wpriv and its exact line set. @return true iff the
+     *  line is new to wprivLines. */
+    bool
     addWpriv(LineAddr l)
     {
         wpriv.insert(l);
-        wprivLines.insert(l);
+        return wprivLines.insert(l);
     }
 
     /** Speculative values written by this chunk (tracked addrs). */
@@ -172,6 +174,90 @@ struct Chunk
         return endReached && !arbitrating && inflightLoads == 0 &&
                outstandingStoreLines.empty() && pendingFwd == 0;
     }
+};
+
+/**
+ * The live chunks' speculative write lines, counted per L1 set: the
+ * state behind the Section 4.1.2 overflow rule ("would this store's
+ * line find no free L1 way?"), answered in constant time.
+ *
+ * Every membership of a line in a live chunk's wLines or wprivLines is
+ * one reference; a line is held while it has any. The per-set count is
+ * the number of distinct held lines in that set. The owner adds a
+ * reference when a line first enters one of a chunk's two sets and
+ * drops all of a chunk's references when the chunk leaves the live
+ * list (commit or squash).
+ */
+class SpecLineCounts
+{
+  public:
+    /** @param num_sets L1 sets; the per-set table is allocated on the
+     *  first add(). */
+    explicit SpecLineCounts(std::size_t num_sets) : numSets(num_sets) {}
+
+    /** One more membership of @p line, which maps to L1 set @p set. */
+    void
+    add(LineAddr line, std::uint32_t set)
+    {
+        if (!(*refs.try_emplace(line, 0).first)++) {
+            if (perSet.empty())
+                perSet.resize(numSets);
+            ++perSet[set];
+        }
+    }
+
+    /** Drop one membership of held @p line (in L1 set @p set). */
+    void
+    remove(LineAddr line, std::uint32_t set)
+    {
+        std::uint32_t *n = refs.find(line);
+        if (!--*n) {
+            refs.erase(line);
+            --perSet[set];
+        }
+    }
+
+    /** Drop every membership @p c holds (@p set_of maps a line to its
+     *  L1 set). */
+    template <typename SetOf>
+    void
+    removeChunk(const Chunk &c, SetOf &&set_of)
+    {
+        for (LineAddr l : c.wLines)
+            remove(l, set_of(l));
+        for (LineAddr l : c.wprivLines)
+            remove(l, set_of(l));
+    }
+
+    /** Is @p line speculative in some live chunk? */
+    bool held(LineAddr line) const { return refs.contains(line); }
+
+    /**
+     * Section 4.1.2's overflow rule: would a store to @p line, which
+     * maps to L1 set @p set of associativity @p assoc, find no way?
+     * True when the line is not yet speculative and the live chunks
+     * already hold assoc-1 or more other lines in its set.
+     */
+    bool
+    wouldOverflow(LineAddr line, std::uint32_t set, unsigned assoc) const
+    {
+        return !held(line) && inSet(set) >= assoc - 1;
+    }
+
+    /** Distinct held lines in L1 set @p set. */
+    std::uint32_t
+    inSet(std::uint32_t set) const
+    {
+        return perSet.empty() ? 0 : perSet[set];
+    }
+
+    /** Distinct held lines, all sets. */
+    std::size_t heldLines() const { return refs.size(); }
+
+  private:
+    std::size_t numSets;
+    LineMap<std::uint32_t> refs;        //!< held line -> memberships
+    std::vector<std::uint32_t> perSet;  //!< empty until the first add
 };
 
 } // namespace bulksc

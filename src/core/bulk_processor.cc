@@ -16,7 +16,8 @@ BulkProcessor::BulkProcessor(EventQueue &eq, const std::string &name,
     : ProcessorBase(eq, name, pid, mem, trace, cpu_params),
       bprm(bulk_params), arb(arb_), chan(chan_),
       nextChunkTarget(bprm.chunkSize),
-      privBuf(bprm.privBufferEntries)
+      privBuf(bprm.privBufferEntries),
+      specLines(mem.params().l1.numSets())
 {}
 
 Chunk *
@@ -166,33 +167,36 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
 {
     LineAddr line = lineOf(addr, prm.lineBytes);
 
+    bool fresh; // line new to this chunk's W or Wpriv line set
     if (bprm.statPrivOpt && stack_ref) {
-        c.addWpriv(line);
+        fresh = c.addWpriv(line);
     } else if (mem.l1State(pid, line) == LineState::Dirty &&
                !anyLiveW(line)) {
         // The line is dirty non-speculative: its current contents are
         // committed state that a squash must not destroy.
         if (bprm.dynPrivOpt) {
             if (anyLiveWpriv(line)) {
-                c.addWpriv(line);
+                fresh = c.addWpriv(line);
             } else if (privBuf.insert(line)) {
                 c.privBufLines.push_back(line);
-                c.addWpriv(line);
+                fresh = c.addWpriv(line);
             } else {
                 ++bstats.privBufferOverflows;
                 mem.writebackLine(pid, line);
-                c.addW(line);
+                fresh = c.addW(line);
             }
         } else {
             // BSCbase: write the old version back to memory, then
             // treat the write as ordinary speculative state.
             ++bstats.baseWritebacks;
             mem.writebackLine(pid, line);
-            c.addW(line);
+            fresh = c.addW(line);
         }
     } else {
-        c.addW(line);
+        fresh = c.addW(line);
     }
+    if (fresh)
+        specLines.add(line, mem.l1SetIndex(pid, line));
 
     if (tracked)
         c.specValues[addr] = value;
@@ -227,38 +231,15 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
 bool
 BulkProcessor::wouldOverflowSet(LineAddr line) const
 {
-    // Re-writing an already-speculative line needs no new way.
-    for (const auto &ch : chunks) {
-        if (ch->wLines.contains(line) || ch->wprivLines.contains(line))
-            return false;
-    }
-    const unsigned assoc = mem.params().l1.assoc;
-    const std::uint32_t set = mem.l1SetIndex(pid, line);
-    // A line may sit in several live write sets; count it only in the
-    // first one (chunk order, W before W_priv) that holds it.
-    auto held_earlier = [&](std::size_t ci, bool priv, LineAddr l) {
-        if (priv && chunks[ci]->wLines.contains(l))
-            return true;
-        for (std::size_t k = 0; k < ci; ++k) {
-            if (chunks[k]->wLines.contains(l) ||
-                chunks[k]->wprivLines.contains(l))
-                return true;
-        }
-        return false;
-    };
-    unsigned others = 0;
-    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
-        for (bool priv : {false, true}) {
-            const auto &lines =
-                priv ? chunks[ci]->wprivLines : chunks[ci]->wLines;
-            for (LineAddr l : lines) {
-                if (mem.l1SetIndex(pid, l) == set &&
-                    !held_earlier(ci, priv, l) && ++others >= assoc - 1)
-                    return true;
-            }
-        }
-    }
-    return others >= assoc - 1;
+    return specLines.wouldOverflow(line, mem.l1SetIndex(pid, line),
+                                   mem.params().l1.assoc);
+}
+
+void
+BulkProcessor::releaseSpecLines(const Chunk &c)
+{
+    specLines.removeChunk(
+        c, [this](LineAddr l) { return mem.l1SetIndex(pid, l); });
 }
 
 void
@@ -268,18 +249,16 @@ BulkProcessor::issueLoad(Chunk &c, const Op &op)
     loadToChunk(c, line, op.stackRef);
     if (op.aux != kNoSlot)
         recordLoad(op, specRead(op.addr));
-    logLoad(c, op.addr, specRead(op.addr), op.tracked);
+    if (analysis)
+        logLoad(c, op.addr, specRead(op.addr), op.tracked);
 
     window.push_back({pos, c.seq, false});
-    // No epoch guard: after a squash the window scan and chunk lookup
+    // No epoch guard: after a squash the window search and chunk lookup
     // find nothing for dropped work, while completions for surviving
     // older chunks' loads must still land.
     auto lat = mem.access(pid, op.addr, MemCmd::Read,
                           [this, idx = pos, seq = c.seq] {
-                              for (auto &w : window) {
-                                  if (w.opIdx == idx)
-                                      w.completed = true;
-                              }
+                              window.complete(idx);
                               Chunk *ch = findChunk(seq);
                               if (ch && ch->inflightLoads) {
                                   --ch->inflightLoads;
@@ -288,7 +267,7 @@ BulkProcessor::issueLoad(Chunk &c, const Op &op)
                               advance();
                           });
     if (lat)
-        window.back().completed = true;
+        window.completeBack();
     else
         ++c.inflightLoads;
 }
@@ -557,6 +536,7 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
 
     // The chunk dies with pop_front; its exact write lines outlive it
     // just long enough to pick the directories W must visit.
+    releaseSpecLines(*c);
     LineSet w_lines = std::move(c->wLines);
     chunks.pop_front();
     consecutiveSquashes = 0;
@@ -669,7 +649,8 @@ BulkProcessor::fingerprint() const
         ch = mix64(ch ^ os_);
         h = mix64(h ^ ch);
     }
-    for (const auto &e : window) {
+    for (std::size_t i = 0; i < window.size(); ++i) {
+        const WinEntry &e = window[i];
         h = mix64(h ^ e.opIdx ^ (e.chunkSeq << 20) ^
                   (std::uint64_t{e.completed} << 63));
     }
@@ -725,6 +706,7 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
                     trackProc(pid), c.seq, c.execInstrs,
                     static_cast<std::uint8_t>(cause));
         mem.l1DiscardSpeculative(pid, c.w, &c.wLines);
+        releaseSpecLines(c);
         for (LineAddr line : c.privBufLines) {
             privBuf.erase(line);
             mem.restoreLine(pid, line);

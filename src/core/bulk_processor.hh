@@ -23,6 +23,7 @@
 #include "analysis/analysis_engine.hh"
 #include "core/arbiter.hh"
 #include "core/bdm.hh"
+#include "cpu/op_window.hh"
 #include "cpu/processor_base.hh"
 #include "sim/event_trace.hh"
 #include "sim/stats.hh"
@@ -215,9 +216,14 @@ class BulkProcessor : public ProcessorBase
     /**
      * Would storing to @p line leave no L1 way for it? True when the
      * live chunks already hold assoc-1 or more *other* speculative
-     * lines in its set (Section 4.1.2's overflow condition).
+     * lines in its set (Section 4.1.2's overflow condition). Constant
+     * time, from @ref specLines.
      */
     bool wouldOverflowSet(LineAddr line) const;
+
+    /** Drop @p c's lines from @ref specLines; called exactly when
+     *  the chunk leaves @ref chunks (commit or squash). */
+    void releaseSpecLines(const Chunk &c);
 
     /** Shared load bookkeeping (R signature, forwarding log). */
     void loadToChunk(Chunk &c, LineAddr line, bool stack_ref);
@@ -269,12 +275,15 @@ class BulkProcessor : public ProcessorBase
     unsigned consecutiveSquashes = 0;
     Tick lastCommit = 0;
 
-    std::deque<WinEntry> window;
+    OpWindow<WinEntry> window;
     Tick fetchAvail = 0;
     bool gapCharged = false;
     bool syncBusy = false;
 
     PrivateBuffer privBuf;
+
+    /** Per-L1-set counts of the live chunks' W/Wpriv lines. */
+    SpecLineCounts specLines;
 
     unsigned committingCount = 0;
 

@@ -68,15 +68,12 @@ RcProcessor::advance()
             window.push_back(
                 {idx, lineOf(op.addr, prm.lineBytes), false, true});
             // NOTE: no epoch guard here — after a squash the window
-            // scan simply finds nothing (dropped entries), while
+            // search simply finds nothing (dropped entries), while
             // completions for surviving older entries must still
             // land or the window would wedge.
             auto lat = mem.access(pid, op.addr, MemCmd::Read,
                                   [this, idx] {
-                                      for (auto &w : window) {
-                                          if (w.opIdx == idx)
-                                              w.completed = true;
-                                      }
+                                      window.complete(idx);
                                       const Op &o = trace.ops[idx];
                                       if (o.aux != kNoSlot)
                                           recordLoad(
@@ -86,7 +83,7 @@ RcProcessor::advance()
                                   });
             if (lat) {
                 // L1 hit: completes within the window shadow.
-                window.back().completed = true;
+                window.completeBack();
                 if (op.aux != kNoSlot)
                     recordLoad(op, readForwarded(op.addr));
             }

@@ -15,6 +15,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "cpu/op_window.hh"
 #include "cpu/processor_base.hh"
 
 namespace bulksc {
@@ -54,7 +55,7 @@ class RcProcessor : public ProcessorBase
      *  SHiQ capacity). */
     virtual bool windowFull() const;
 
-    std::deque<WinEntry> window;
+    OpWindow<WinEntry> window;
 
     /** Values of stores whose ownership is still pending, newest
      *  last: a same-address load forwards from here (program order

@@ -18,12 +18,7 @@ ScppProcessor::windowFull() const
     // Speculatively performed ops occupy SHiQ entries until every
     // older op completes; completed entries still in the window are
     // exactly that set (retire pops SC-safe heads immediately).
-    unsigned spec = 0;
-    for (const WinEntry &w : window) {
-        if (w.completed)
-            ++spec;
-    }
-    if (spec >= shiqEntries) {
+    if (window.completedCount() >= shiqEntries) {
         ++nShiqStalls;
         return true;
     }

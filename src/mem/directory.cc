@@ -28,34 +28,40 @@ Directory::entryDigest(LineAddr line, const DirEntry &e)
     return mix64(v ^ (std::uint64_t{e.dirty} << 32) ^ e.owner);
 }
 
+void
+Directory::displace(LineAddr line, std::uint32_t slot)
+{
+    digest -= entryDigest(line, slab[slot]);
+    auto &bucket = buckets[bucketOf(line)];
+    auto pos = std::find_if(
+        bucket.begin(), bucket.end(),
+        [line](const auto &b) { return b.first == line; });
+    *pos = bucket.back();
+    bucket.pop_back();
+    index.erase(line);
+    freeSlots.push_back(slot);
+}
+
 DirEntry &
 Directory::getOrCreate(LineAddr line,
                        std::vector<DirDisplacement> &displaced)
 {
-    auto it = entries.find(line);
-    if (it != entries.end())
-        return it->second;
+    if (DirEntry *e = find(line))
+        return *e;
 
     // Directory cache: displace the oldest entry when full
     // (Section 4.3.3). The caller broadcasts the displacement
     // signature for bulk disambiguation.
-    if (maxEntries && entries.size() >= maxEntries) {
+    if (maxEntries && index.size() >= maxEntries) {
         while (fifoHead < fifo.size()) {
             LineAddr victim = fifo[fifoHead++];
-            auto vit = entries.find(victim);
-            if (vit == entries.end())
+            const std::uint32_t *vslot = index.find(victim);
+            if (!vslot)
                 continue; // stale fifo slot
-            displaced.push_back(DirDisplacement{
-                victim, vit->second.sharers, vit->second.dirty,
-                vit->second.owner});
-            digest -= entryDigest(victim, vit->second);
-            auto &bucket = buckets[bucketOf(victim)];
-            auto pos = std::find_if(
-                bucket.begin(), bucket.end(),
-                [victim](const auto &b) { return b.first == victim; });
-            *pos = bucket.back();
-            bucket.pop_back();
-            entries.erase(vit);
+            const DirEntry &v = slab[*vslot];
+            displaced.push_back(
+                DirDisplacement{victim, v.sharers, v.dirty, v.owner});
+            displace(victim, *vslot);
             break;
         }
         if (fifoHead > 4096 && fifoHead * 2 > fifo.size()) {
@@ -65,12 +71,21 @@ Directory::getOrCreate(LineAddr line,
         }
     }
 
-    DirEntry &e = entries[line];
-    digest += entryDigest(line, e);
-    buckets[bucketOf(line)].emplace_back(line, &e);
+    std::uint32_t slot;
+    if (!freeSlots.empty()) {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+        slab[slot] = DirEntry{};
+    } else {
+        slot = static_cast<std::uint32_t>(slab.size());
+        slab.emplace_back();
+    }
+    index.try_emplace(line, slot);
+    digest += entryDigest(line, slab[slot]);
+    buckets[bucketOf(line)].emplace_back(line, slot);
     if (maxEntries)
         fifo.push_back(line);
-    return e;
+    return slab[slot];
 }
 
 void
@@ -99,24 +114,21 @@ Directory::recordReadEx(LineAddr line, ProcId p,
 void
 Directory::recordWriteback(LineAddr line, ProcId p)
 {
-    auto it = entries.find(line);
-    if (it == entries.end())
-        return;
-    DirEntry &e = it->second;
-    if (e.dirty && e.owner == p)
-        update(line, e, [](DirEntry &d) { d.dirty = false; });
+    DirEntry *e = find(line);
+    if (e && e->dirty && e->owner == p)
+        update(line, *e, [](DirEntry &d) { d.dirty = false; });
 }
 
 void
 Directory::dropSharer(LineAddr line, ProcId p)
 {
-    auto it = entries.find(line);
-    if (it == entries.end())
+    DirEntry *e = find(line);
+    if (!e)
         return;
-    update(line, it->second, [p](DirEntry &e) {
-        e.sharers &= ~(1u << p);
-        if (e.dirty && e.owner == p)
-            e.dirty = false;
+    update(line, *e, [p](DirEntry &d) {
+        d.sharers &= ~(1u << p);
+        if (d.dirty && d.owner == p)
+            d.dirty = false;
     });
 }
 
@@ -133,7 +145,7 @@ Directory::expand(const Signature &w, ProcId committer)
     // independent and every result is an OR or a sum, so the order in
     // which a bucket lists its lines does not matter.
     for (std::uint32_t idx : w.decodeBank0()) {
-        for (auto [line, entry] : buckets[idx]) {
+        for (auto [line, slot] : buckets[idx]) {
             if (!w.contains(line))
                 continue;
             ++res.lookups;
@@ -144,7 +156,7 @@ Directory::expand(const Signature &w, ProcId committer)
             if (!truly_written)
                 ++res.aliasLookups;
 
-            DirEntry &e = *entry;
+            DirEntry &e = slab[slot];
 
             // Table 1: the four possible states of a selected entry.
             if (!e.dirty && !e.isSharer(committer)) {
@@ -183,8 +195,8 @@ Directory::expand(const Signature &w, ProcId committer)
 const DirEntry *
 Directory::peek(LineAddr line) const
 {
-    auto it = entries.find(line);
-    return it == entries.end() ? nullptr : &it->second;
+    const std::uint32_t *slot = index.find(line);
+    return slot ? &slab[*slot] : nullptr;
 }
 
 } // namespace bulksc

@@ -15,13 +15,15 @@
  *    a displacement, produces a one-line signature that the memory
  *    system broadcasts for bulk disambiguation.
  *
+ * Entries live in a dense slab, and a flat LineMap indexes it by line;
+ * a displaced entry's slot goes to a free list for the next new line.
  * Expansion reaches its candidates through buckets indexed by bank-0
  * index (the low bits of the line). Each bucket is a flat, unordered
- * vector of (line, entry pointer) pairs: expansion scans contiguous
- * memory and updates each entry in place, and a displaced entry leaves
- * its bucket by swap-and-pop. Order within a bucket is immaterial,
- * because an expansion's results are ORs and sums over independent
- * entries.
+ * vector of (line, slot) pairs: expansion scans contiguous memory and
+ * updates each entry in place, and a displaced entry leaves its bucket
+ * by swap-and-pop. Order within a bucket, like the slot an entry gets,
+ * is immaterial, because an expansion's results are ORs and sums over
+ * independent entries.
  *
  * This class holds protocol *state and decisions* only; message timing
  * lives in MemorySystem.
@@ -31,11 +33,11 @@
 #define BULKSC_MEM_DIRECTORY_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "signature/signature.hh"
+#include "sim/line_set.hh"
 #include "sim/types.hh"
 
 namespace bulksc {
@@ -134,11 +136,15 @@ class Directory
      */
     ExpansionResult expand(const Signature &w, ProcId committer);
 
-    /** @return the entry for @p line, or nullptr. */
+    /**
+     * @return the entry for @p line, or nullptr. The pointer dies at
+     * the next entry creation or displacement (the slab may move), so
+     * read what you need from it before recording a new access.
+     */
     const DirEntry *peek(LineAddr line) const;
 
     /** @return number of directory entries currently allocated. */
-    std::size_t entryCount() const { return entries.size(); }
+    std::size_t entryCount() const { return index.size(); }
 
     /** Order-insensitive digest of the directory state (per-line
      *  sharer vectors and dirty/owner), for explorer fingerprints.
@@ -164,20 +170,37 @@ class Directory
     DirEntry &getOrCreate(LineAddr line,
                           std::vector<DirDisplacement> &displaced);
 
+    /** @return @p line's entry, or nullptr. */
+    DirEntry *
+    find(LineAddr line)
+    {
+        const std::uint32_t *slot = index.find(line);
+        return slot ? &slab[*slot] : nullptr;
+    }
+
+    /** Remove the entry of a resident @p line, freeing its slot. */
+    void displace(LineAddr line, std::uint32_t slot);
+
     std::uint32_t bucketOf(LineAddr line) const;
 
     SignatureConfig sigCfg;
     unsigned numProcs;
     std::size_t maxEntries;
 
-    std::unordered_map<LineAddr, DirEntry> entries;
+    /** Entry storage; a slot not named by @ref index is on
+     *  @ref freeSlots. */
+    std::vector<DirEntry> slab;
+    std::vector<std::uint32_t> freeSlots;
+
+    /** Resident line -> its slot in @ref slab. */
+    LineMap<std::uint32_t> index;
+
     std::uint64_t digest = 0; //!< see fingerprint()
 
-    /** Resident lines bucketed by signature bank-0 index: the hardware
-     *  analogue is the delta-decode directed tag probe of signature
-     *  expansion. The entry pointers stay valid because unordered_map
-     *  nodes never move on rehash. */
-    std::vector<std::vector<std::pair<LineAddr, DirEntry *>>> buckets;
+    /** Resident lines and their slots, bucketed by signature bank-0
+     *  index: the hardware analogue is the delta-decode directed tag
+     *  probe of signature expansion. */
+    std::vector<std::vector<std::pair<LineAddr, std::uint32_t>>> buckets;
 
     /** FIFO order for directory-cache displacement. */
     std::vector<LineAddr> fifo;

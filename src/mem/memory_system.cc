@@ -208,12 +208,15 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
 
     Directory &dir = *dirs[d];
     std::vector<DirDisplacement> displaced;
+    // Read the entry before any directory mutation: the pointer dies
+    // at the next entry creation or displacement.
     const DirEntry *pe = dir.peek(line);
-    bool owner_fetch = pe && pe->dirty && pe->owner != p;
-    bool requester_had_copy = pe && pe->isSharer(p);
+    const bool owner_fetch = pe && pe->dirty && pe->owner != p;
+    const bool requester_had_copy = pe && pe->isSharer(p);
+    const ProcId owner = owner_fetch ? pe->owner : 0;
 
-    if (owner_fetch && l1s[pe->owner].listener)
-        l1s[pe->owner].listener->onExternalOwnerFetch(line);
+    if (owner_fetch && l1s[owner].listener)
+        l1s[owner].listener->onExternalOwnerFetch(line);
 
     Tick lat = 0;
     if (wantsOwnership(cmd)) {
@@ -249,7 +252,6 @@ MemorySystem::dirHandleRequest(ProcId p, LineAddr line, MemCmd cmd,
         if (owner_fetch) {
             // Downgrade the owner; its data is written back to the L2
             // and forwarded to the requester.
-            ProcId owner = pe->owner;
             const CacheLine *oe = l1s[owner].array.lookup(line);
             if (oe && oe->state == LineState::Dirty)
                 l1s[owner].array.setState(line, LineState::Shared);
@@ -649,13 +651,14 @@ MemorySystem::restoreLine(ProcId p, LineAddr line)
     }
 }
 
-void
+bool
 MemorySystem::warmLine(LineAddr line)
 {
     if (l2.peek(line))
-        return;
+        return false;
     std::optional<Victim> vic;
     l2.insert(line, LineState::Shared, nullptr, vic);
+    return vic.has_value();
 }
 
 void
@@ -679,18 +682,18 @@ MemorySystem::warmL1(ProcId p, LineAddr line, bool dirty)
 std::uint64_t
 MemorySystem::readValue(Addr addr) const
 {
-    auto it = values.find(addr);
-    return it == values.end() ? 0 : it->second;
+    const std::uint64_t *v = values.find(addr);
+    return v ? *v : 0;
 }
 
 void
 MemorySystem::writeValue(Addr addr, std::uint64_t v)
 {
     // Commutative sum over the store: swap this address's term.
-    auto [it, fresh] = values.try_emplace(addr, v);
+    auto [cur, fresh] = values.try_emplace(addr, v);
     if (!fresh) {
-        valueDigest -= mix64(mix64(addr) ^ it->second);
-        it->second = v;
+        valueDigest -= mix64(mix64(addr) ^ *cur);
+        *cur = v;
     }
     valueDigest += mix64(mix64(addr) ^ v);
 }

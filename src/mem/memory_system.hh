@@ -209,8 +209,11 @@ class MemorySystem : public SimObject
      * Functionally pre-load @p line into the L2 (no timing, no
      * traffic). Used to warm caches so short simulations measure
      * steady-state behaviour instead of cold misses.
+     *
+     * @return true iff inserting the line displaced another from the
+     *         L2 (a line already present is left alone).
      */
-    void warmLine(LineAddr line);
+    bool warmLine(LineAddr line);
 
     /**
      * Functionally pre-load @p line into @p p's L1 (and the L2 and
@@ -229,7 +232,9 @@ class MemorySystem : public SimObject
     /** Directory module responsible for @p line. */
     unsigned dirOf(LineAddr line) const;
 
-    /** Peek the directory entry for @p line (testing/debug). */
+    /** Peek the directory entry for @p line (testing/debug); as
+     *  Directory::peek, the pointer dies at the next directory entry
+     *  creation or displacement. */
     const DirEntry *peekDir(LineAddr line) const;
 
     unsigned numDirs() const { return static_cast<unsigned>(dirs.size()); }
@@ -349,7 +354,7 @@ class MemorySystem : public SimObject
      *  bounce, Section 4.3.2). */
     std::vector<std::vector<std::shared_ptr<Signature>>> committingSigs;
 
-    std::unordered_map<Addr, std::uint64_t> values;
+    LineMap<std::uint64_t> values; //!< keyed by word address
     std::uint64_t valueDigest = 0; //!< see valueFingerprint()
 
     // stats

@@ -153,6 +153,12 @@ System::run(Tick limit)
         // most-recently-used — and per-processor-private lines whose
         // first access is a store start out dirty-owned, seeding the
         // steady-state pattern the dypvt optimization captures.
+        //
+        // A line this processor touched before is still in the L2
+        // unless some warm-up insert has displaced a line since, and
+        // the probe has no side effects; so a repeat is probed again
+        // only once any warm-up insert has displaced something.
+        bool l2_displaced = false;
         for (unsigned p = 0; p < procs.size(); ++p) {
             const Trace &t = traces[p];
             LineSet seen;       // lines touched so far
@@ -162,8 +168,10 @@ System::run(Tick limit)
                 if (op.addr >= layout::kStreamBase)
                     continue;
                 LineAddr line = lineOf(op.addr, cfg.mem.l1.lineBytes);
-                memSys->warmLine(line);
-                if (!seen.insert(line))
+                const bool fresh = seen.insert(line);
+                if (fresh || l2_displaced)
+                    l2_displaced |= memSys->warmLine(line);
+                if (!fresh)
                     continue;
                 bool priv =
                     (op.addr >= layout::kStackBase &&

@@ -1,5 +1,6 @@
 #include "workload/generator.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -74,7 +75,92 @@ sampleGap(Rng &rng, double mean)
     return static_cast<std::uint32_t>(g);
 }
 
+/** The per-iteration probabilities and means generateTraces draws
+ *  from, derived once from the profile. */
+struct Rates
+{
+    double gapMean;       //!< mean non-memory gap before an op
+    unsigned swBurst;     //!< stores per shared-write burst
+    double pSharedWrite;  //!< per ordinary op: a shared-write burst
+    double barrierPeriod; //!< instructions between barriers (0: none)
+    double pLock;         //!< per iteration: a critical section
+    double pStream;       //!< per iteration: a streaming burst
+
+    explicit Rates(const AppProfile &prof)
+    {
+        gapMean = prof.memFrac > 0 ? (1.0 - prof.memFrac) / prof.memFrac
+                                   : 50.0;
+        swBurst = prof.sharedWriteBurst ? prof.sharedWriteBurst : 1;
+        pSharedWrite = prof.memFrac > 0
+                           ? prof.sharedWritesPer1k /
+                                 (1000.0 * prof.memFrac * swBurst)
+                           : 0.0;
+        barrierPeriod = prof.barriersPer100k > 0
+                            ? 100000.0 / prof.barriersPer100k
+                            : 0.0;
+        pLock = prof.locksPer1k > 0
+                    ? prof.locksPer1k / 1000.0 * (gapMean + 1.0)
+                    : 0.0;
+        pStream = prof.streamBurstsPer1k > 0
+                      ? prof.streamBurstsPer1k / 1000.0 * (gapMean + 1.0)
+                      : 0.0;
+    }
+};
+
+/** E[sampleGap(mean)]: the floor of an exponential, capped at 400, is
+ *  the sum over k = 1..400 of P(gap >= k) = e^(-k/mean). */
+double
+expectedGap(double mean)
+{
+    if (mean <= 0)
+        return 0;
+    const double q = std::exp(-1.0 / mean);
+    return q * (1.0 - std::pow(q, 400.0)) / (1.0 - q);
+}
+
 } // namespace
+
+std::size_t
+traceOpsReserve(const AppProfile &prof, std::uint64_t instrs_per_proc)
+{
+    const Rates rt(prof);
+    // Ops and instructions of one iteration of generateTraces's main
+    // loop, in expectation, per kind: ordinary op (or shared-write
+    // burst), critical section, streaming burst. Gaps truncate, so an
+    // op costs about half an instruction less than 1/memFrac, and
+    // bursts (half-mean gaps) are denser still.
+    const double op_cost = expectedGap(rt.gapMean) + 1.0;
+    const double burst_cost = expectedGap(rt.gapMean * 0.5) + 1.0;
+    const double p_sw = std::min(rt.pSharedWrite, 1.0);
+    const double p_lock = std::min(rt.pLock, 1.0);
+    const double p_stream = std::min(rt.pStream, 1.0);
+    const double cs_ops = 2.0 + prof.csMemOps;
+    const double stream_ops = 4.0 * prof.streamBurstLines;
+    const double sw_extra = p_sw * (rt.swBurst - 1);
+
+    const double ops = p_lock * cs_ops +
+                       (1 - p_lock) * (p_stream * stream_ops +
+                                       (1 - p_stream) * (1 + sw_extra));
+    const double instrs =
+        p_lock * cs_ops * op_cost +
+        (1 - p_lock) *
+            (p_stream * stream_ops * burst_cost +
+             (1 - p_stream) * (op_cost + sw_extra * burst_cost));
+    const double barriers =
+        rt.barrierPeriod > 0
+            ? static_cast<double>(instrs_per_proc) / rt.barrierPeriod + 1
+            : 0.0;
+    // The last iteration may overrun the budget by a whole burst.
+    const double last = std::max({cs_ops, stream_ops,
+                                  static_cast<double>(rt.swBurst)});
+    // A 5% margin covers the sampling spread: over 16 trace salts at
+    // 20k to 1M instructions, no trace of the 13 profiles fills more
+    // than 98% of the reservation (generator_test checks 60k and 200k).
+    const double expected =
+        static_cast<double>(instrs_per_proc) * ops / instrs;
+    return static_cast<std::size_t>(expected * 1.05 + 2 * barriers +
+                                    last + 64);
+}
 
 std::vector<Trace>
 generateTraces(const AppProfile &prof, unsigned num_procs,
@@ -85,35 +171,14 @@ generateTraces(const AppProfile &prof, unsigned num_procs,
 
     std::vector<Trace> traces(num_procs);
 
-    const double gap_mean =
-        prof.memFrac > 0 ? (1.0 - prof.memFrac) / prof.memFrac : 50.0;
-
-    const unsigned sw_burst =
-        prof.sharedWriteBurst ? prof.sharedWriteBurst : 1;
-    const double p_shared_write =
-        prof.memFrac > 0
-            ? prof.sharedWritesPer1k /
-                  (1000.0 * prof.memFrac * sw_burst)
-            : 0.0;
-
-    const double barrier_period =
-        prof.barriersPer100k > 0 ? 100000.0 / prof.barriersPer100k
-                                 : 0.0;
-    const double p_lock = prof.locksPer1k > 0
-                              ? prof.locksPer1k / 1000.0 *
-                                    (gap_mean + 1.0)
-                              : 0.0;
-    const double p_stream = prof.streamBurstsPer1k > 0
-                                ? prof.streamBurstsPer1k / 1000.0 *
-                                      (gap_mean + 1.0)
-                                : 0.0;
+    const Rates rt(prof);
+    const std::size_t reserve = traceOpsReserve(prof, instrs_per_proc);
 
     for (unsigned p = 0; p < num_procs; ++p) {
         Rng rng(mix64(prof.seed * 0x9e3779b9ULL + p * 7919 +
                       seed_salt * 104729));
         Trace &t = traces[p];
-        t.ops.reserve(static_cast<std::size_t>(
-            static_cast<double>(instrs_per_proc) * prof.memFrac * 1.1));
+        t.ops.reserve(reserve);
 
         // Skew the per-processor bases by an odd line count so that
         // same-offset lines of different processors differ in their
@@ -134,7 +199,7 @@ generateTraces(const AppProfile &prof, unsigned num_procs,
         std::uint64_t stream_line = 0;
 
         std::uint64_t instrs = 0;
-        double next_barrier = barrier_period;
+        double next_barrier = rt.barrierPeriod;
         std::uint32_t barrier_idx = 0;
 
         auto emit = [&](OpType type, Addr addr, std::uint32_t gap,
@@ -234,7 +299,7 @@ generateTraces(const AppProfile &prof, unsigned num_procs,
         while (instrs < instrs_per_proc) {
             // Barriers at fixed instruction thresholds so every
             // processor executes the same barrier sequence.
-            if (barrier_period > 0 &&
+            if (rt.barrierPeriod > 0 &&
                 static_cast<double>(instrs) >= next_barrier) {
                 Op arrive;
                 arrive.type = OpType::BarrierArrive;
@@ -248,21 +313,21 @@ generateTraces(const AppProfile &prof, unsigned num_procs,
                 t.ops.push_back(wait);
                 instrs += 14;
                 ++barrier_idx;
-                next_barrier += barrier_period;
+                next_barrier += rt.barrierPeriod;
                 continue;
             }
 
             // Lock-protected critical section over the lock's data
             // (a few lines keyed by the lock id): true sharing happens
             // when two processors contend for the same lock region.
-            if (p_lock > 0 && rng.chance(p_lock)) {
+            if (rt.pLock > 0 && rng.chance(rt.pLock)) {
                 std::uint32_t lock_id =
                     static_cast<std::uint32_t>(
                         rng.below(prof.numLocks));
                 Op acq;
                 acq.type = OpType::Acquire;
                 acq.addr = layout::lockAddr(lock_id, lb);
-                acq.gap = sampleGap(rng, gap_mean);
+                acq.gap = sampleGap(rng, rt.gapMean);
                 t.ops.push_back(acq);
                 instrs += acq.gap + 1;
                 // 8 data lines per lock, in their own region.
@@ -271,12 +336,12 @@ generateTraces(const AppProfile &prof, unsigned num_procs,
                     bool write = rng.chance(prof.csWriteFrac);
                     Addr a = data_base + rng.below(8) * lb + word();
                     emit(write ? OpType::Store : OpType::Load, a,
-                         sampleGap(rng, gap_mean), false);
+                         sampleGap(rng, rt.gapMean), false);
                 }
                 Op rel;
                 rel.type = OpType::Release;
                 rel.addr = acq.addr;
-                rel.gap = sampleGap(rng, gap_mean);
+                rel.gap = sampleGap(rng, rt.gapMean);
                 t.ops.push_back(rel);
                 instrs += rel.gap + 1;
                 continue;
@@ -285,7 +350,7 @@ generateTraces(const AppProfile &prof, unsigned num_procs,
             // Streaming burst: a run of fresh lines touched once with
             // spatial locality. These are clustered memory misses —
             // overlappable by RC/SC++/BulkSC, serialized by SC.
-            if (p_stream > 0 && rng.chance(p_stream)) {
+            if (rt.pStream > 0 && rng.chance(rt.pStream)) {
                 for (std::uint32_t l = 0; l < prof.streamBurstLines;
                      ++l) {
                     Addr line_base =
@@ -295,24 +360,24 @@ generateTraces(const AppProfile &prof, unsigned num_procs,
                             rng.chance(prof.streamStoreFrac);
                         emit(write ? OpType::Store : OpType::Load,
                              line_base + k * 8,
-                             sampleGap(rng, gap_mean * 0.5), false);
+                             sampleGap(rng, rt.gapMean * 0.5), false);
                     }
                 }
                 continue;
             }
 
-            std::uint32_t gap = sampleGap(rng, gap_mean);
+            std::uint32_t gap = sampleGap(rng, rt.gapMean);
             double r = rng.uniform();
 
-            if (r < p_shared_write) {
+            if (r < rt.pSharedWrite) {
                 emit(OpType::Store, shared_write_addr(), gap, false);
-                for (unsigned b = 1; b < sw_burst; ++b) {
+                for (unsigned b = 1; b < rt.swBurst; ++b) {
                     emit(OpType::Store, shared_write_addr(),
-                         sampleGap(rng, gap_mean * 0.5), false);
+                         sampleGap(rng, rt.gapMean * 0.5), false);
                 }
-            } else if (r < p_shared_write + prof.sharedReadFrac) {
+            } else if (r < rt.pSharedWrite + prof.sharedReadFrac) {
                 emit(OpType::Load, shared_read_addr(), gap, false);
-            } else if (r < p_shared_write + prof.sharedReadFrac +
+            } else if (r < rt.pSharedWrite + prof.sharedReadFrac +
                                prof.stackFrac) {
                 std::uint64_t line =
                     stack_cur.pick(rng, 48, 0.75, 0.5, 6);

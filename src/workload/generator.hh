@@ -75,6 +75,15 @@ std::vector<Trace> generateTraces(const AppProfile &profile,
                                   std::uint64_t instrs_per_proc,
                                   std::uint64_t seed_salt = 0);
 
+/**
+ * Ops generateTraces reserves per trace: the expected op count of
+ * @p instrs_per_proc instructions of @p profile (stream bursts,
+ * critical sections and barriers included), plus a margin for the
+ * sampling spread and a final burst, so a trace is allocated once.
+ */
+std::size_t traceOpsReserve(const AppProfile &profile,
+                            std::uint64_t instrs_per_proc);
+
 } // namespace bulksc
 
 #endif // BULKSC_WORKLOAD_GENERATOR_HH

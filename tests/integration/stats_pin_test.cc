@@ -10,7 +10,9 @@
  * must update the pins and record the change.
  *
  * Each run is `bulksc_sim --procs 4 --instrs 20000 ARGS` with every
- * other option at its default (model BSCdypvt).
+ * other option at its default (model BSCdypvt). The RC and SC++ rows,
+ * and SC++ with a small SHiQ, pin the instruction window's
+ * bookkeeping.
  *
  * Also pins the set of statistics keys (the numeric `--json` keys)
  * each `--check` selection produces.
@@ -22,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/scpp_processor.hh"
 #include "system/sim_options.hh"
 #include "system/system.hh"
 #include "workload/app_profiles.hh"
@@ -89,6 +92,12 @@ TEST(StatsPin, SignatureSensitiveCountersAreUnchanged)
          12585, 1444, 189, 15, 2, 1},
         // Without the exact mirror nothing is attributed to aliasing.
         {{"--app", "ocean", "--no-exact-stats"}, 12569, 443, 0, 0, 0, 2},
+        // Non-bulk models: no signatures, so only the timing is
+        // pinned; it rests on the instruction window's bookkeeping.
+        {{"--app", "ocean", "--model", "RC"}, 12537, 0, 0, 0, 0, 0},
+        {{"--app", "radix", "--model", "RC"}, 11981, 0, 0, 0, 0, 0},
+        {{"--app", "ocean", "--model", "SC++"}, 12537, 0, 0, 0, 0, 0},
+        {{"--app", "radix", "--model", "SC++"}, 11981, 0, 0, 0, 0, 0},
     };
     for (const Pin &pin : pins) {
         std::string name;
@@ -106,6 +115,37 @@ TEST(StatsPin, SignatureSensitiveCountersAreUnchanged)
         EXPECT_EQ(r.stats.get("bulk.squash.false_positive"),
                   pin.falsePositiveSquashes);
         EXPECT_EQ(r.stats.get("arb.denials"), pin.arbDenials);
+    }
+}
+
+TEST(StatsPin, ScppShiqStallsAreUnchanged)
+{
+    // The default 2048-entry SHiQ never fills on these runs; an
+    // 8-entry one stalls often, so SC++'s occupancy count (completed
+    // ops still in the window) decides the timing.
+    struct ShiqPin
+    {
+        const char *app;
+        Tick execTime;
+        std::uint64_t stalls;
+    };
+    for (const ShiqPin &pin : {ShiqPin{"ocean", 13499, 1515},
+                               ShiqPin{"radix", 14501, 1835}}) {
+        SCOPED_TRACE(pin.app);
+        MachineConfig cfg;
+        cfg.model = Model::SCpp;
+        cfg.numProcs = 4;
+        cfg.shiqEntries = 8;
+        System sys(cfg, generateTraces(profileByName(pin.app), 4, 20000));
+        Results r = sys.run();
+        ASSERT_TRUE(r.completed);
+        EXPECT_EQ(r.execTime, pin.execTime);
+        std::uint64_t stalls = 0;
+        for (unsigned p = 0; p < cfg.numProcs; ++p) {
+            stalls +=
+                dynamic_cast<ScppProcessor &>(sys.processor(p)).shiqStalls();
+        }
+        EXPECT_EQ(stalls, pin.stalls);
     }
 }
 

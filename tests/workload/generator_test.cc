@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 
 #include "workload/generator.hh"
@@ -39,6 +40,25 @@ TEST(Generator, DeterministicForSameSeed)
             EXPECT_EQ(a[i].ops[j].addr, b[i].ops[j].addr);
             EXPECT_EQ(a[i].ops[j].type, b[i].ops[j].type);
             EXPECT_EQ(a[i].ops[j].gap, b[i].ops[j].gap);
+        }
+    }
+}
+
+TEST(Generator, TracesFitTheirFirstReservation)
+{
+    // A trace that outgrew traceOpsReserve would have reallocated to a
+    // larger capacity (and copied itself once).
+    for (const AppProfile &p : allProfiles()) {
+        for (std::uint64_t instrs : {60000u, 200000u}) {
+            const std::size_t reserve = traceOpsReserve(p, instrs);
+            for (std::uint64_t salt : {0u, 1u}) {
+                SCOPED_TRACE(p.name + " " + std::to_string(instrs) +
+                             " salt " + std::to_string(salt));
+                for (const Trace &t : generateTraces(p, 8, instrs, salt)) {
+                    EXPECT_LE(t.ops.size(), reserve);
+                    EXPECT_EQ(t.ops.capacity(), reserve);
+                }
+            }
         }
     }
 }
