@@ -8,7 +8,9 @@
  * the flat LineSet (exact mirrors, chunk line sets) against the
  * std::unordered_set it replaced, and its keyed form LineMap (the
  * directory index, the speculative-line counts, the value store)
- * against std::unordered_map.
+ * against std::unordered_map; and the axiomatic SC checker's
+ * per-commit cost (MemOrderGraph), the analysis layer's host time
+ * measured apart from any simulation.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +19,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "analysis/mem_order_graph.hh"
 #include "mem/directory.hh"
 #include "signature/signature.hh"
 #include "sim/line_set.hh"
@@ -334,6 +337,52 @@ BENCHMARK_TEMPLATE(BM_MapErase, LineMap32)
     ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 BENCHMARK_TEMPLATE(BM_MapErase, UnorderedMap)
     ->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
+/**
+ * The axiomatic checker on a synthetic commit stream: 8 processors
+ * commit in turn, each chunk 64 accesses (a third of them stores) over
+ * arg distinct words. Each load is tagged with one committedWriter()
+ * probe just before its chunk commits, as the load instrumentation
+ * does at bind time, so every read is fresh and the graph stays
+ * acyclic. The graph restarts (untimed) every 2048 chunks; one item
+ * per logged access.
+ */
+void
+BM_GraphCommit(benchmark::State &state)
+{
+    constexpr unsigned kProcs = 8;
+    constexpr unsigned kAccesses = 64;
+    constexpr std::size_t kChunks = 2048;
+    const auto words = static_cast<std::uint64_t>(state.range(0));
+    Rng rng(21);
+    std::vector<std::vector<LoggedAccess>> logs(kChunks);
+    for (auto &log : logs) {
+        for (unsigned i = 0; i < kAccesses; ++i)
+            log.push_back({0x10000 + 8 * rng.below(words), i,
+                           rng.below(3) == 0});
+    }
+    MemOrderGraph g;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        if (next == kChunks) {
+            state.PauseTiming();
+            g = MemOrderGraph();
+            next = 0;
+            state.ResumeTiming();
+        }
+        std::vector<LoggedAccess> &log = logs[next];
+        for (LoggedAccess &a : log) {
+            if (!a.isWrite)
+                a.writer = g.committedWriter(a.addr);
+        }
+        g.chunkCommitted(next, static_cast<ProcId>(next % kProcs),
+                         next / kProcs, log);
+        ++next;
+    }
+    benchmark::DoNotOptimize(g.numEdges());
+    state.SetItemsProcessed(state.iterations() * kAccesses);
+}
+BENCHMARK(BM_GraphCommit)->Arg(4096)->Arg(262144);
 
 } // namespace
 

@@ -37,7 +37,8 @@ CycleDetector::addEdge(NodeId u, NodeId v, std::vector<NodeId> *cycle)
             *cycle = {u};
         return EdgeOutcome::Cycle;
     }
-    if (!edgeSet.insert(key(u, v)).second)
+    auto id = static_cast<std::uint32_t>(nEdges);
+    if (!edgeIds.try_emplace(key(u, v), id).second)
         return EdgeOutcome::Duplicate;
 
     auto commit = [&] {
@@ -55,7 +56,7 @@ CycleDetector::addEdge(NodeId u, NodeId v, std::vector<NodeId> *cycle)
     if (forwardReaches(v, u, ord[u], deltaF)) {
         // A v -> u path exists: u -> v would close a cycle. Reconstruct
         // the shortest path v, ..., u from the BFS parents.
-        edgeSet.erase(key(u, v));
+        edgeIds.erase(key(u, v));
         if (cycle) {
             cycle->clear();
             for (NodeId x = u; x != kNone; x = parent[x])

@@ -20,14 +20,20 @@
  * This is the engine under the axiomatic SC checker: nodes are
  * committed chunks, edges are po/rf/co/fr, and a cycle is an SC
  * violation whose minimal witness we want to report.
+ *
+ * Every inserted edge gets a dense id (0, 1, ... in insertion order)
+ * from the one hash table that also rejects duplicates, so a client
+ * keeps per-edge data in a plain vector indexed by edgeId() instead of
+ * hashing each edge a second time.
  */
 
 #ifndef BULKSC_ANALYSIS_CYCLE_DETECTOR_HH
 #define BULKSC_ANALYSIS_CYCLE_DETECTOR_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
+
+#include "sim/line_set.hh"
 
 namespace bulksc {
 
@@ -71,7 +77,15 @@ class CycleDetector
     bool
     hasEdge(NodeId u, NodeId v) const
     {
-        return edgeSet.count(key(u, v)) != 0;
+        return edgeIds.contains(key(u, v));
+    }
+
+    /** Id of the inserted edge u -> v: its rank in insertion order
+     *  (the edge must exist). */
+    std::uint32_t
+    edgeId(NodeId u, NodeId v) const
+    {
+        return *edgeIds.find(key(u, v));
     }
 
     std::size_t numNodes() const { return ord.size(); }
@@ -101,7 +115,7 @@ class CycleDetector
     std::vector<std::vector<NodeId>> in;  //!< reverse adjacency
     std::vector<std::uint32_t> ord;       //!< node -> order index
     std::vector<NodeId> pos;              //!< order index -> node
-    std::unordered_set<std::uint64_t> edgeSet;
+    LineMap<std::uint32_t> edgeIds; //!< key(u, v) -> edge id
     std::size_t nEdges = 0;
     std::uint64_t nReorders = 0;
 

@@ -22,22 +22,18 @@ MemOrderGraph::edgeKindName(EdgeKind k)
     return "?";
 }
 
-void
+bool
 MemOrderGraph::addEdge(Tick now, NodeId u, NodeId v, EdgeKind kind,
                        Addr addr)
 {
-    auto [it, fresh] = edgeInfo.try_emplace(key(u, v),
-                                            EdgeInfo{kind, addr});
-    if (!fresh)
-        return; // edge already present; first witness wins
-
     std::vector<NodeId> path;
     auto outcome = det.addEdge(u, v, &path);
+    if (outcome == CycleDetector::EdgeOutcome::Duplicate)
+        return false; // first witness wins
     if (outcome == CycleDetector::EdgeOutcome::Cycle) {
         // The offending edge is rejected (the graph stays acyclic and
         // later commits keep being checked), but the cycle it would
         // have closed is the SC-violation witness.
-        edgeInfo.erase(it);
         ++nCycles;
         EVENT_TRACE(TraceEventType::ScViolation, now,
                     trackProc(nodes[v].proc), nodes[v].seq, addr,
@@ -47,16 +43,42 @@ MemOrderGraph::addEdge(Tick now, NodeId u, NodeId v, EdgeKind kind,
             viol.tick = now;
             for (std::size_t i = 0; i + 1 < path.size(); ++i) {
                 const EdgeInfo &ei =
-                    edgeInfo.at(key(path[i], path[i + 1]));
+                    edgeInfo[det.edgeId(path[i], path[i + 1])];
                 viol.edges.push_back(
                     {path[i], path[i + 1], ei.kind, ei.addr});
             }
             viol.edges.push_back({u, v, kind, addr}); // closing edge
             viols.push_back(std::move(viol));
         }
+        return true;
+    }
+    edgeInfo.push_back({kind, addr}); // at index det.edgeId(u, v)
+    ++kindCounts[static_cast<unsigned>(kind)];
+    return false;
+}
+
+void
+MemOrderGraph::addReader(AddrState &s, NodeId n)
+{
+    // A chunk's loads are logged together, so its repeats are
+    // adjacent in the list.
+    if (s.readTail != kNil && cells[s.readTail].node == n) {
+        ++cells[s.readTail].reads;
         return;
     }
-    ++kindCounts[static_cast<unsigned>(kind)];
+    std::uint32_t c = freeCells;
+    if (c != kNil) {
+        freeCells = cells[c].next;
+        cells[c] = {n, 1, kNil};
+    } else {
+        c = static_cast<std::uint32_t>(cells.size());
+        cells.push_back({n, 1, kNil});
+    }
+    if (s.readTail == kNil)
+        s.readHead = c;
+    else
+        cells[s.readTail].next = c;
+    s.readTail = c;
 }
 
 void
@@ -66,28 +88,42 @@ MemOrderGraph::chunkCommitted(Tick now, ProcId p, std::uint64_t seq,
     NodeId n = det.addNode();
     nodes.push_back({p, seq, now});
 
-    auto po = lastNode.find(p);
-    if (po != lastNode.end())
-        addEdge(now, po->second, n, EdgeKind::Po, 0);
+    if (p >= lastNode.size())
+        lastNode.resize(p + 1, kNil);
+    if (lastNode[p] != kNil)
+        addEdge(now, lastNode[p], n, EdgeKind::Po, 0);
     lastNode[p] = n;
 
     for (std::size_t i = 0; i < log.size(); ++i) {
         const LoggedAccess &a = log[i];
-        auto &h = hist[a.addr];
+        // addEdge never touches addrs, so the reference stays valid.
+        AddrState &s = *addrs.try_emplace(a.addr).first;
         if (a.isWrite) {
-            if (!h.empty() && h.back().node != n)
-                addEdge(now, h.back().node, n, EdgeKind::Co, a.addr);
-            auto rs = readers.find(a.addr);
-            if (rs != readers.end()) {
-                for (NodeId r : rs->second) {
-                    if (r != n)
-                        addEdge(now, r, n, EdgeKind::Fr, a.addr);
+            if (s.newest != kNil && hist[s.newest].node != n)
+                addEdge(now, hist[s.newest].node, n, EdgeKind::Co,
+                        a.addr);
+            if (s.readHead != kNil) {
+                for (std::uint32_t c = s.readHead; c != kNil;
+                     c = cells[c].next) {
+                    if (cells[c].node == n)
+                        continue;
+                    // Each load retries a rejected edge; once the
+                    // edge is in, the repeats are no-ops.
+                    for (std::uint32_t k = 0; k < cells[c].reads; ++k) {
+                        if (!addEdge(now, cells[c].node, n, EdgeKind::Fr,
+                                     a.addr))
+                            break;
+                    }
                 }
-                rs->second.clear();
+                cells[s.readTail].next = freeCells;
+                freeCells = s.readHead;
+                s.readHead = s.readTail = kNil;
             }
-            h.push_back({WriterRef{p, seq,
-                                   static_cast<std::uint32_t>(i)},
-                         n});
+            if (s.newest == kNil)
+                s.firstWriter = n;
+            hist.push_back(
+                {n, static_cast<std::uint32_t>(i), s.newest});
+            s.newest = static_cast<std::uint32_t>(hist.size() - 1);
             continue;
         }
 
@@ -95,37 +131,37 @@ MemOrderGraph::chunkCommitted(Tick now, ProcId p, std::uint64_t seq,
             // The load observed initial memory. If writes to the
             // address have already committed, that observation is
             // stale: the reader serializes before the first write.
-            if (h.empty())
-                readers[a.addr].push_back(n);
+            if (s.newest == kNil)
+                addReader(s, n);
             else
-                addEdge(now, n, h.front().node, EdgeKind::Fr, a.addr);
+                addEdge(now, n, s.firstWriter, EdgeKind::Fr, a.addr);
             continue;
         }
 
-        // Resolve the writer tag in the address's write history.
-        // Searching from the back finds it immediately in the common
-        // (read-the-latest) case.
-        std::size_t j = h.size();
-        while (j-- > 0) {
-            if (h[j].writer == a.writer)
-                break;
+        // Resolve the writer tag in the address's write history,
+        // newest first: the common (read-the-latest) case matches at
+        // once. @c next is the co-successor of the entry examined.
+        std::uint32_t j = s.newest, next = kNil;
+        while (j != kNil && !(writerOf(hist[j]) == a.writer)) {
+            next = j;
+            j = hist[j].prev;
         }
-        if (j >= h.size()) {
+        if (j == kNil) {
             ++nUnmatched; // writer never committed: instrumentation bug
             continue;
         }
-        if (h[j].node != n)
-            addEdge(now, h[j].node, n, EdgeKind::Rf, a.addr);
-        if (j + 1 == h.size()) {
+        if (hist[j].node != n)
+            addEdge(now, hist[j].node, n, EdgeKind::Rf, a.addr);
+        if (next == kNil) {
             // Fresh read: fr materializes when the next write commits.
-            readers[a.addr].push_back(n);
-        } else if (h[j + 1].node != n) {
+            addReader(s, n);
+        } else if (hist[next].node != n) {
             // Stale read: a later write already committed, so the
             // reader must serialize before it. This is the edge that
             // points *backward* in commit order and closes the cycle
             // when disambiguation was (deliberately or otherwise)
             // skipped.
-            addEdge(now, n, h[j + 1].node, EdgeKind::Fr, a.addr);
+            addEdge(now, n, hist[next].node, EdgeKind::Fr, a.addr);
         }
     }
 }

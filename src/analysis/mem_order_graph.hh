@@ -35,19 +35,29 @@
  *
  * The per-address write history is kept in full: truncating it could
  * mis-resolve a very stale read to a newer co-successor and fabricate
- * or miss edges. Memory therefore grows with distinct committed writes
+ * or miss edges. It is one append-only vector of 12-byte entries for
+ * all addresses, each entry linking to the previous write of its
+ * address; a flat per-address record (LineMap) points at the newest
+ * entry and at the address's current readers, kept in pooled linked
+ * lists whose cells are recycled when a write clears them. So one
+ * logged access, and one committedWriter() query, costs one probe and
+ * allocates nothing per address. Memory grows with committed writes
  * (fine for simulation-scale runs; see docs/analysis.md).
+ *
+ * Edges are deduplicated by the cycle detector's edge table; their
+ * (kind, address) attribution sits in a vector indexed by the
+ * detector's edge id and is read back only to render a violation.
  */
 
 #ifndef BULKSC_ANALYSIS_MEM_ORDER_GRAPH_HH
 #define BULKSC_ANALYSIS_MEM_ORDER_GRAPH_HH
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/access_log.hh"
 #include "analysis/cycle_detector.hh"
+#include "sim/line_set.hh"
 
 namespace bulksc {
 
@@ -97,10 +107,10 @@ class MemOrderGraph
     WriterRef
     committedWriter(Addr a) const
     {
-        auto it = hist.find(a);
-        if (it == hist.end() || it->second.empty())
+        const AddrState *s = addrs.find(a);
+        if (!s || s->newest == kNil)
             return {};
-        return it->second.back().writer;
+        return writerOf(hist[s->newest]);
     }
 
     bool ok() const { return nCycles == 0; }
@@ -130,10 +140,32 @@ class MemOrderGraph
     static const char *edgeKindName(EdgeKind k);
 
   private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /** One committed store: access @ref idx of chunk @ref node. */
     struct HistEntry
     {
-        WriterRef writer;
         NodeId node;
+        std::uint32_t idx;
+        std::uint32_t prev; //!< the address's previous write, or kNil
+    };
+
+    /** A reader of an address's current version (pooled list cell):
+     *  chunk @ref node, which logged @ref reads loads of it. */
+    struct ReaderCell
+    {
+        NodeId node;
+        std::uint32_t reads;
+        std::uint32_t next; //!< next cell of the list, or kNil
+    };
+
+    /** Everything the graph keeps per address. */
+    struct AddrState
+    {
+        std::uint32_t newest = kNil; //!< latest write (hist index)
+        NodeId firstWriter = kNil;   //!< node of the co-first write
+        std::uint32_t readHead = kNil; //!< readers, in log order
+        std::uint32_t readTail = kNil;
     };
 
     struct EdgeInfo
@@ -142,28 +174,37 @@ class MemOrderGraph
         Addr addr;
     };
 
-    void addEdge(Tick now, NodeId u, NodeId v, EdgeKind kind,
+    /** Add u -> v unless present. @return true iff it was rejected
+     *  for closing a cycle (a violation). */
+    bool addEdge(Tick now, NodeId u, NodeId v, EdgeKind kind,
                  Addr addr);
 
-    static std::uint64_t
-    key(NodeId u, NodeId v)
+    WriterRef
+    writerOf(const HistEntry &h) const
     {
-        return (std::uint64_t{u} << 32) | v;
+        return {nodes[h.node].proc, nodes[h.node].seq, h.idx};
     }
+
+    /** Count one more load of @p s's current version by @p n.
+     *  Repeats are kept: each one retries a rejected fr edge. */
+    void addReader(AddrState &s, NodeId n);
 
     CycleDetector det;
     std::vector<NodeInfo> nodes;
-    std::unordered_map<ProcId, NodeId> lastNode; //!< po predecessor
+    std::vector<NodeId> lastNode; //!< po predecessor per ProcId
 
-    /** Per-address committed write history, in co (commit) order. */
-    std::unordered_map<Addr, std::vector<HistEntry>> hist;
+    LineMap<AddrState> addrs;
 
-    /** Readers of the current (latest) version of each address; they
-     *  get fr edges to the next committed write. */
-    std::unordered_map<Addr, std::vector<NodeId>> readers;
+    /** Every committed write, in commit order; per address, a list
+     *  linked newest-first through HistEntry::prev. */
+    std::vector<HistEntry> hist;
 
-    /** Kind/address attribution of inserted edges (first wins). */
-    std::unordered_map<std::uint64_t, EdgeInfo> edgeInfo;
+    /** Reader-list cells; freeCells chains the recycled ones. */
+    std::vector<ReaderCell> cells;
+    std::uint32_t freeCells = kNil;
+
+    /** Attribution of inserted edges, by CycleDetector::edgeId. */
+    std::vector<EdgeInfo> edgeInfo;
 
     std::uint64_t kindCounts[4] = {0, 0, 0, 0};
     std::uint64_t nCycles = 0;

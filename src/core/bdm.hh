@@ -15,7 +15,6 @@
 #define BULKSC_CORE_BDM_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/access_log.hh"
@@ -127,18 +126,27 @@ struct Chunk
         return wprivLines.insert(l);
     }
 
-    /** Speculative values written by this chunk (tracked addrs). */
-    std::unordered_map<Addr, std::uint64_t> specValues;
+    /** This chunk's stores to one address, as a load sees them. */
+    struct SpecStore
+    {
+        std::uint64_t value;  //!< latest tracked value, if hasValue
+        std::uint32_t logIdx; //!< accessLog index of the latest store
+        bool hasValue;        //!< some store here tracked a value
+    };
+
+    /**
+     * This chunk's stores by word address: the speculative values
+     * (tracked stores) and, with an analysis engine attached, the
+     * latest store of every address as an index into accessLog, the
+     * per-chunk half of the load instrumentation's writer-tag lookup.
+     * Dies with the chunk on squash, so tags never reference
+     * discarded work.
+     */
+    LineMap<SpecStore> specStores;
 
     /** Program-ordered access log for the SC verifier and the
      *  analysis engine (only filled when one is attached). */
     std::vector<LoggedAccess> accessLog;
-
-    /** This chunk's latest store to each address, as an index into
-     *  accessLog — the per-chunk half of the load instrumentation's
-     *  writer-tag lookup (analysis mode only). Dies with the chunk on
-     *  squash, so tags never reference discarded work. */
-    std::unordered_map<Addr, std::uint32_t> specWriters;
 
     /** Lines whose old version this chunk parked in the Private
      *  Buffer. */

@@ -31,6 +31,10 @@ BulkProcessor::currentChunk()
                                              nextChunkTarget,
                                              bprm.sigCfg));
     chunks.back()->txnDepthAtStart = txnDepth;
+    if (!spareLogs.empty()) {
+        chunks.back()->accessLog = std::move(spareLogs.back());
+        spareLogs.pop_back();
+    }
     if (lastSquashTick != kTickNever) {
         bstats.squashRestart.sample(
             static_cast<double>(curTick() - lastSquashTick));
@@ -71,36 +75,45 @@ BulkProcessor::windowFull() const
     return false;
 }
 
-std::uint64_t
-BulkProcessor::specRead(Addr addr) const
+BulkProcessor::LoadBinding
+BulkProcessor::bindLoad(Addr addr) const
 {
+    LoadBinding b;
+    bool tagged = false;
     for (auto it = chunks.rbegin(); it != chunks.rend(); ++it) {
-        auto vit = (*it)->specValues.find(addr);
-        if (vit != (*it)->specValues.end())
-            return vit->second;
+        const Chunk::SpecStore *s = (*it)->specStores.find(addr);
+        if (!s)
+            continue;
+        if (!tagged) {
+            b.writer = {pid, (*it)->seq, s->logIdx};
+            tagged = true;
+        }
+        if (s->hasValue) {
+            b.value = s->value;
+            return b;
+        }
     }
-    return mem.readValue(addr);
-}
-
-WriterRef
-BulkProcessor::findWriterTag(Addr addr) const
-{
-    for (auto it = chunks.rbegin(); it != chunks.rend(); ++it) {
-        auto wit = (*it)->specWriters.find(addr);
-        if (wit != (*it)->specWriters.end())
-            return {pid, (*it)->seq, wit->second};
-    }
-    return analysis->committedWriter(addr);
+    b.value = mem.readValue(addr);
+    if (!tagged && analysis)
+        b.writer = analysis->committedWriter(addr);
+    return b;
 }
 
 void
-BulkProcessor::logLoad(Chunk &c, Addr addr, std::uint64_t value,
+BulkProcessor::logLoad(Chunk &c, Addr addr, const LoadBinding &b,
                        bool tracked)
 {
-    if (!analysis)
+    if (analysis)
+        c.accessLog.push_back({addr, b.value, false, tracked, b.writer});
+}
+
+void
+BulkProcessor::recycleLog(Chunk &c)
+{
+    if (c.accessLog.capacity() == 0)
         return;
-    c.accessLog.push_back(
-        {addr, value, false, tracked, findWriterTag(addr)});
+    c.accessLog.clear();
+    spareLogs.push_back(std::move(c.accessLog));
 }
 
 bool
@@ -198,12 +211,16 @@ BulkProcessor::storeToChunk(Chunk &c, Addr addr, bool stack_ref,
     if (fresh)
         specLines.add(line, mem.l1SetIndex(pid, line));
 
-    if (tracked)
-        c.specValues[addr] = value;
-    if (analysis) {
-        c.specWriters[addr] =
-            static_cast<std::uint32_t>(c.accessLog.size());
-        c.accessLog.push_back({addr, value, true, tracked, {}});
+    if (tracked || analysis) {
+        Chunk::SpecStore &s = *c.specStores.try_emplace(addr).first;
+        if (tracked) {
+            s.value = value;
+            s.hasValue = true;
+        }
+        if (analysis) {
+            s.logIdx = static_cast<std::uint32_t>(c.accessLog.size());
+            c.accessLog.push_back({addr, value, true, tracked, {}});
+        }
     }
 
     // Fetch the line if absent (as a Read: BulkSC write misses are
@@ -247,10 +264,12 @@ BulkProcessor::issueLoad(Chunk &c, const Op &op)
 {
     LineAddr line = lineOf(op.addr, prm.lineBytes);
     loadToChunk(c, line, op.stackRef);
-    if (op.aux != kNoSlot)
-        recordLoad(op, specRead(op.addr));
-    if (analysis)
-        logLoad(c, op.addr, specRead(op.addr), op.tracked);
+    if (op.aux != kNoSlot || analysis) {
+        LoadBinding b = bindLoad(op.addr);
+        if (op.aux != kNoSlot)
+            recordLoad(op, b.value);
+        logLoad(c, op.addr, b, op.tracked);
+    }
 
     window.push_back({pos, c.seq, false});
     // No epoch guard: after a squash the window search and chunk lookup
@@ -493,10 +512,13 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
     // The analysis engine's committed-writer directory advances in the
     // same atomic step (inside its chunkCommitted), keeping value state
     // and writer tags in lockstep.
-    for (const auto &[a, v] : c->specValues)
-        mem.writeValue(a, v);
+    for (const auto &[a, st] : c->specStores) {
+        if (st.hasValue)
+            mem.writeValue(a, st.value);
+    }
     if (analysis)
         analysis->chunkCommitted(curTick(), pid, seq, c->accessLog);
+    recycleLog(*c);
 
     ++bstats.commits;
     lastCommit = curTick();
@@ -640,8 +662,10 @@ BulkProcessor::fingerprint() const
         ch = mix64(ch ^ c->wpriv.hash());
         // Unordered containers fold commutatively.
         std::uint64_t sv = 0;
-        for (const auto &[a, v] : c->specValues)
-            sv += mix64(mix64(a) ^ v);
+        for (const auto &[a, st] : c->specStores) {
+            if (st.hasValue)
+                sv += mix64(mix64(a) ^ st.value);
+        }
         ch = mix64(ch ^ sv);
         std::uint64_t os_ = 0;
         for (LineAddr l : c->outstandingStoreLines)
@@ -707,6 +731,7 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
                     static_cast<std::uint8_t>(cause));
         mem.l1DiscardSpeculative(pid, c.w, &c.wLines);
         releaseSpecLines(c);
+        recycleLog(c);
         for (LineAddr line : c.privBufLines) {
             privBuf.erase(line);
             mem.restoreLine(pid, line);
@@ -839,9 +864,9 @@ BulkProcessor::syncLoad(Addr addr,
             // chunk that is current when it completes.
             withChunk([this, addr, done](Chunk &now) {
                 loadToChunk(now, lineOf(addr, prm.lineBytes), false);
-                std::uint64_t v = specRead(addr);
-                logLoad(now, addr, v, true);
-                done(v);
+                LoadBinding b = bindLoad(addr);
+                logLoad(now, addr, b, true);
+                done(b.value);
             });
         };
         auto lat = mem.access(pid, addr, MemCmd::Read, fin);

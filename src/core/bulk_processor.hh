@@ -234,19 +234,30 @@ class BulkProcessor : public ProcessorBase
     void storeToChunk(Chunk &c, Addr addr, bool stack_ref, bool tracked,
                       std::uint64_t value);
 
-    /** Speculative read: youngest chunk value, else committed. */
-    std::uint64_t specRead(Addr addr) const;
+    /** What a load binds to: its value and the store it came from. */
+    struct LoadBinding
+    {
+        std::uint64_t value = 0;
+        WriterRef writer{}; //!< meaningful only with an analysis engine
+    };
 
-    /** Where a load of @p addr gets its data right now: the youngest
-     *  live chunk's store to it, else the committed writer. Mirrors
-     *  the machine's forwarding structure, so it is meaningful even
-     *  for value-untracked addresses. */
-    WriterRef findWriterTag(Addr addr) const;
+    /**
+     * Bind a load of @p addr now, in one walk over the live chunks,
+     * youngest first. The value is the youngest tracked store's, else
+     * the committed one. The writer tag is the youngest store's (even
+     * an untracked one: it mirrors the machine's forwarding structure),
+     * else the committed writer.
+     */
+    LoadBinding bindLoad(Addr addr) const;
 
-    /** Append a load of @p addr to @p c's access log (analysis
-     *  instrumentation; call at value-bind time). */
-    void logLoad(Chunk &c, Addr addr, std::uint64_t value,
+    /** Append a load of @p addr bound to @p b to @p c's access log
+     *  (analysis instrumentation; call at value-bind time). */
+    void logLoad(Chunk &c, Addr addr, const LoadBinding &b,
                  bool tracked);
+
+    /** Keep @p c's access-log buffer for the next chunk; called when
+     *  the chunk leaves @ref chunks. */
+    void recycleLog(Chunk &c);
 
     bool anyLiveW(LineAddr line) const;
     bool anyLiveWExact(LineAddr line) const;
@@ -300,6 +311,9 @@ class BulkProcessor : public ProcessorBase
     unsigned txnDepth = 0;
 
     AnalysisEngine *analysis = nullptr;
+
+    /** Emptied access-log buffers of dead chunks, reused by new ones. */
+    std::vector<std::vector<LoggedAccess>> spareLogs;
 
     BulkStats bstats;
 };

@@ -5,13 +5,17 @@
  * agrees with the serial-replay verifier, catches the arbiter
  * fault-injection knob with a reported po ∪ rf ∪ co ∪ fr cycle, and
  * the happens-before race detector separates synchronized from
- * unsynchronized sharing.
+ * unsynchronized sharing. Pins the axiomatic checker's counters,
+ * verdicts and rendered cycles on full-scale runs, so a host-side
+ * rewrite of the oracle must leave them unchanged.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "system/sim_options.hh"
 #include "system/system.hh"
 #include "workload/generator.hh"
 #include "workload/litmus.hh"
@@ -250,6 +254,121 @@ TEST(AnalysisStats, AllCountersAreExported)
     EXPECT_EQ(r.stats.get("analysis.chunks"),
               r.stats.get("analysis.graph_nodes"));
     EXPECT_GT(r.stats.get("analysis.edges_po"), 0.0);
+}
+
+/** A `bulksc_sim ARGS --check axiomatic` run, in process. */
+struct CliRun
+{
+    Results res;
+    std::vector<std::string> cycles; //!< describe() of each violation
+    int exitCode = 0;                //!< as bulksc_sim would return
+};
+
+CliRun
+runAxiomatic(std::vector<const char *> args)
+{
+    args.insert(args.end(), {"--check", "axiomatic"});
+    SimOptions opts;
+    std::string err;
+    EXPECT_TRUE(OptionRegistry::instance().parse(
+        static_cast<int>(args.size()), args.data(), opts,
+        OptionGroup::Sim, err))
+        << err;
+    EXPECT_TRUE(opts.cfg.validate(err)) << err;
+    System sys(opts.cfg, generateTraces(profileByName(opts.app),
+                                        opts.cfg.numProcs, opts.instrs,
+                                        opts.seedSalt));
+    sys.enableAnalysis(true, false, false);
+    CliRun run;
+    run.res = sys.run();
+    const MemOrderGraph &g = *sys.analysis()->graph();
+    for (const auto &v : g.violations())
+        run.cycles.push_back(g.describe(v));
+    // bulksc_sim's exit-code rule, for a run without races or litmus.
+    int wd = 0;
+    switch (run.res.watchdogVerdict) {
+      case WatchdogVerdict::Livelock:
+        wd = 10;
+        break;
+      case WatchdogVerdict::Starvation:
+        wd = 11;
+        break;
+      case WatchdogVerdict::Deadlock:
+        wd = 12;
+        break;
+      default:
+        break;
+    }
+    run.exitCode = !sys.analysis()->scOk() ? 3
+                   : wd                   ? wd
+                   : run.res.completed    ? 0
+                                          : 2;
+    return run;
+}
+
+/** The analysis.* counters of one run. */
+struct AnalysisPin
+{
+    double chunks, edges, po, rf, co, fr, cycles;
+};
+
+void
+expectCounters(const Results &r, const AnalysisPin &p)
+{
+    const StatGroup &s = r.stats;
+    EXPECT_EQ(s.get("analysis.chunks"), p.chunks);
+    EXPECT_EQ(s.get("analysis.graph_nodes"), p.chunks);
+    EXPECT_EQ(s.get("analysis.graph_edges"), p.edges);
+    EXPECT_EQ(s.get("analysis.edges_po"), p.po);
+    EXPECT_EQ(s.get("analysis.edges_rf"), p.rf);
+    EXPECT_EQ(s.get("analysis.edges_co"), p.co);
+    EXPECT_EQ(s.get("analysis.edges_fr"), p.fr);
+    EXPECT_EQ(s.get("analysis.sc_cycles"), p.cycles);
+    EXPECT_EQ(s.get("analysis.sc_ok"), p.cycles == 0 ? 1 : 0);
+    EXPECT_EQ(s.get("analysis.unmatched_reads"), 0);
+}
+
+TEST(AnalysisPin, CleanRunCountersAreUnchanged)
+{
+    // bulksc_sim --app APP --check axiomatic (8 processors, 100k
+    // instructions each, BSCdypvt).
+    CliRun ocean = runAxiomatic({"--app", "ocean"});
+    EXPECT_EQ(ocean.exitCode, 0);
+    expectCounters(ocean.res, {888, 11318, 880, 3652, 3941, 2845, 0});
+    CliRun radix = runAxiomatic({"--app", "radix"});
+    EXPECT_EQ(radix.exitCode, 0);
+    expectCounters(radix.res, {971, 12892, 963, 4082, 3883, 3964, 0});
+}
+
+/** Ocean 8p/200k under the EXPERIMENTS.md fault mix (app-faulted). */
+CliRun
+runFaulted(const char *fault_seed)
+{
+    return runAxiomatic(
+        {"--app", "ocean", "--procs", "8", "--instrs", "200000",
+         "--faults",
+         "net.drop=0.05,net.dup=0.02,net.delay=0.2:1:50,"
+         "arb.req_loss=0.02,arb.grant_loss=0.02,dir.nack=0.05",
+         "--fault-seed", fault_seed});
+}
+
+TEST(AnalysisPin, FaultedOceanViolationsAreUnchanged)
+{
+    CliRun s2 = runFaulted("2");
+    EXPECT_EQ(s2.exitCode, 3);
+    expectCounters(s2.res, {1810, 28161, 1802, 9441, 9363, 7555, 1});
+    ASSERT_EQ(s2.cycles.size(), 1u);
+    EXPECT_EQ(s2.cycles[0], "cpu5#123 -fr(0xf8000020)-> cpu0#121 "
+                            "-rf(0xf8000020)-> cpu5#123");
+
+    CliRun s6 = runFaulted("6");
+    EXPECT_EQ(s6.exitCode, 3);
+    expectCounters(s6.res, {1800, 27984, 1792, 9370, 9318, 7504, 2});
+    ASSERT_EQ(s6.cycles.size(), 2u);
+    EXPECT_EQ(s6.cycles[0], "cpu1#241 -fr(0xf8000020)-> cpu0#197 "
+                            "-rf(0xf8000020)-> cpu1#241");
+    EXPECT_EQ(s6.cycles[1], "cpu7#213 -fr(0xf8000020)-> cpu0#197 "
+                            "-rf(0xf8000020)-> cpu7#213");
 }
 
 } // namespace
