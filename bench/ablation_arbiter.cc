@@ -40,19 +40,15 @@ main()
             System sys(cfg, std::move(traces));
             Results r = sys.run();
             times[i] = r.execTime;
-            auto *da =
-                dynamic_cast<DistributedArbiter *>(sys.arbiter());
-            if (da) {
-                double total = static_cast<double>(
-                    da->singleRangeCommits() +
-                    da->multiRangeCommits());
-                multi_pct[i] =
-                    total > 0 ? 100.0 *
-                                    static_cast<double>(
-                                        da->multiRangeCommits()) /
-                                    total
-                              : 0;
-            }
+            const Arbiter &arb = *sys.arbiter();
+            double total = static_cast<double>(arb.singleRangeCommits() +
+                                               arb.multiRangeCommits());
+            multi_pct[i] =
+                total > 0 ? 100.0 *
+                                static_cast<double>(
+                                    arb.multiRangeCommits()) /
+                                total
+                          : 0;
         }
 
         double base = static_cast<double>(one.execTime);

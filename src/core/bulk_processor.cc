@@ -12,7 +12,7 @@ BulkProcessor::BulkProcessor(EventQueue &eq, const std::string &name,
                              const Trace &trace,
                              const CpuParams &cpu_params,
                              const BulkParams &bulk_params,
-                             ArbiterIface &arb_, ReliableChannel &chan_)
+                             Arbiter &arb_, ReliableChannel &chan_)
     : ProcessorBase(eq, name, pid, mem, trace, cpu_params),
       bprm(bulk_params), arb(arb_), chan(chan_),
       nextChunkTarget(bprm.chunkSize),

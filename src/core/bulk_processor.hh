@@ -128,7 +128,7 @@ class BulkProcessor : public ProcessorBase
     BulkProcessor(EventQueue &eq, const std::string &name, ProcId pid,
                   MemorySystem &mem, const Trace &trace,
                   const CpuParams &cpu_params,
-                  const BulkParams &bulk_params, ArbiterIface &arb,
+                  const BulkParams &bulk_params, Arbiter &arb,
                   ReliableChannel &chan);
 
     // CacheListener
@@ -275,7 +275,7 @@ class BulkProcessor : public ProcessorBase
     void withChunk(std::function<void(Chunk &)> fn);
 
     BulkParams bprm;
-    ArbiterIface &arb;
+    Arbiter &arb;
 
     /** Carries the commit-permission requests and replies. */
     ReliableChannel &chan;

@@ -487,7 +487,7 @@ MemorySystem::bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
         std::vector<bool> mark(dirs.size(), false);
         for (LineAddr l : w_lines ? *w_lines : w->exactLines())
             mark[dirOf(l)] = true;
-        // Ascending module order, as DistributedArbiter::rangesOf: the
+        // Ascending module order, as Arbiter::rangesOf: the
         // line set's iteration order must never reach the send order.
         for (unsigned d = 0; d < dirs.size(); ++d) {
             if (mark[d])

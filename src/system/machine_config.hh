@@ -108,7 +108,8 @@ struct MachineConfig
      *  yields the paper's ~30-cycle commit arbitration latency. */
     Tick arbProcessing = 24;
 
-    /** Maximum simultaneously-committing chunks. */
+    /** Maximum simultaneously-committing chunks (central arbiter
+     *  only; the distributed arbiter has no cap). */
     unsigned maxSimulCommits = 8;
 
     /** Arbiter modules; > 1 selects the distributed arbiter with a

@@ -1,5 +1,7 @@
 #include "system/system.hh"
 
+#include <algorithm>
+
 #include "cpu/rc_processor.hh"
 #include "cpu/sc_processor.hh"
 #include "cpu/scpp_processor.hh"
@@ -42,21 +44,11 @@ System::System(MachineConfig cfg_, std::vector<Trace> traces_)
     memSys = std::make_unique<MemorySystem>(eq, *chan, cfg.mem);
 
     if (isBulk(cfg.model)) {
-        if (cfg.numArbiters <= 1) {
-            auto a = std::make_unique<Arbiter>(
-                eq, *chan, np + nd, cfg.arbProcessing, cfg.bulk.rsigOpt,
-                cfg.maxSimulCommits);
-            if (faults.active())
-                a->setFaultPlane(&faults);
-            arb = std::move(a);
-        } else {
-            fatal_if(faults.has(FaultKind::ArbSkipCollision),
-                     "arb.skip_collision injection needs the central "
-                     "arbiter (numArbiters <= 1)");
-            arb = std::make_unique<DistributedArbiter>(
-                eq, *chan, np + nd, cfg.numArbiters, cfg.arbProcessing,
-                cfg.bulk.rsigOpt);
-        }
+        arb = std::make_unique<Arbiter>(
+            eq, *chan, np + nd, std::max(cfg.numArbiters, 1u),
+            cfg.arbProcessing, cfg.bulk.rsigOpt, cfg.maxSimulCommits);
+        if (faults.active())
+            arb->setFaultPlane(&faults);
     }
 
     for (unsigned p = 0; p < np; ++p) {
@@ -387,12 +379,13 @@ System::collectStats(Results &res) const
                                static_cast<double>(as.emptyWCommits) /
                                static_cast<double>(as.grants)
                          : 0.0);
-        sg.set("arb.avg_pending_w", as.avgPendingW(res.execTime));
+        const ArbiterModule &occ = arb->occupancy();
+        sg.set("arb.avg_pending_w", occ.avgPendingW(res.execTime));
         sg.set("arb.non_empty_pct",
-               100.0 * as.nonEmptyFrac(res.execTime));
+               100.0 * occ.nonEmptyFrac(res.execTime));
         sg.set("arb.pre_arbitrations",
                static_cast<double>(as.preArbitrations));
-        as.occupancy.dumpInto(sg, "arb.commit_occupancy.");
+        occ.occupancy().dumpInto(sg, "arb.commit_occupancy.");
         if (faults.active()) {
             sg.set("arb.dup_requests",
                    static_cast<double>(cs.dupRequests));
@@ -400,6 +393,8 @@ System::collectStats(Results &res) const
                    static_cast<double>(cs.lostRequests));
             sg.set("arb.lost_replies",
                    static_cast<double>(cs.lostReplies));
+            sg.set("arb.unreleased_w",
+                   static_cast<double>(arb->pendingW()));
         }
     }
 }

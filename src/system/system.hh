@@ -23,7 +23,6 @@
 #include "analysis/analysis_engine.hh"
 #include "core/arbiter.hh"
 #include "core/bulk_processor.hh"
-#include "core/distributed_arbiter.hh"
 #include "cpu/processor_base.hh"
 #include "mem/memory_system.hh"
 #include "network/network.hh"
@@ -116,7 +115,7 @@ class System
     MemorySystem &memory() { return *memSys; }
     Network &network() { return *net; }
     ReliableChannel &channel() { return *chan; }
-    ArbiterIface *arbiter() { return arb.get(); }
+    Arbiter *arbiter() { return arb.get(); }
     FaultPlane &faultPlane() { return faults; }
     const Watchdog *watchdog() const { return dog.get(); }
     ProcessorBase &processor(unsigned i) { return *procs.at(i); }
@@ -138,7 +137,7 @@ class System
     std::unique_ptr<Network> net;
     std::unique_ptr<ReliableChannel> chan;
     std::unique_ptr<MemorySystem> memSys;
-    std::unique_ptr<ArbiterIface> arb;
+    std::unique_ptr<Arbiter> arb;
     std::vector<std::unique_ptr<ProcessorBase>> procs;
     std::unique_ptr<Watchdog> dog;
     std::unique_ptr<AnalysisEngine> engine;

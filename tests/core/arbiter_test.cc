@@ -17,7 +17,8 @@ struct Harness
         : net(eq, NetworkConfig{}),
           chan(eq, net, faults, ChannelParams{}, /*num_procs=*/8,
                /*num_dirs=*/1),
-          arb(eq, chan, 9, /*processing=*/5, rsig, max_commits)
+          arb(eq, chan, 9, /*count=*/1, /*processing=*/5, rsig,
+              max_commits)
     {}
 
     /** Send one commit request through the (fault-free) channel. */
@@ -251,11 +252,33 @@ TEST(Arbiter, TimeWeightedStats)
     h.eq.schedule(h.eq.now() + 1000, [] {});
     h.eq.run();
     h.arb.commitDone(w);
-    const ArbiterStats &s = h.arb.stats();
+    const ArbiterModule &occ = h.arb.occupancy();
     Tick total = h.eq.now();
-    EXPECT_GT(s.avgPendingW(total), 0.0);
-    EXPECT_GT(s.nonEmptyFrac(total), 0.0);
-    EXPECT_LE(s.nonEmptyFrac(total), 1.0);
+    EXPECT_GT(occ.avgPendingW(total), 0.0);
+    EXPECT_GT(occ.nonEmptyFrac(total), 0.0);
+    EXPECT_LE(occ.nonEmptyFrac(total), 1.0);
+    EXPECT_EQ(occ.occupancy().samples(), 1u);
+}
+
+TEST(Arbiter, UnreleasedWCountsUntilTheEndOfTheRun)
+{
+    // A W granted and never released is pending from its grant to
+    // the end of the run, however long after the last list change.
+    Harness h;
+    ASSERT_TRUE(h.request(0, h.sig({}), h.sig({100})));
+    Tick replied = h.eq.now(); // the grant came before the reply
+    ASSERT_GT(replied, 0u);
+    Tick end = 100 * replied;
+    const ArbiterModule &occ = h.arb.occupancy();
+    auto pendingTicks = [&](Tick e) {
+        return occ.nonEmptyFrac(e) * static_cast<double>(e);
+    };
+    EXPECT_GE(pendingTicks(end), static_cast<double>(end - replied));
+    EXPECT_LT(pendingTicks(end), static_cast<double>(end));
+    EXPECT_NEAR(pendingTicks(2 * end) - pendingTicks(end),
+                static_cast<double>(end), 1e-6);
+    EXPECT_DOUBLE_EQ(occ.avgPendingW(end), occ.nonEmptyFrac(end));
+    EXPECT_EQ(h.arb.pendingW(), 1u);
 }
 
 } // namespace

@@ -1,12 +1,12 @@
 /**
  * @file
  * Unit tests for the distributed arbiter with G-arbiter coordination
- * (Section 4.2.3).
+ * (Section 4.2.3): the Arbiter with more than one module.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/distributed_arbiter.hh"
+#include "core/arbiter.hh"
 
 namespace bulksc {
 namespace {
@@ -48,7 +48,7 @@ struct Harness
     FaultPlane faults;
     Network net;
     ReliableChannel chan;
-    DistributedArbiter arb;
+    Arbiter arb;
 };
 
 TEST(DistributedArbiter, SingleRangeCommitUsesOneModule)

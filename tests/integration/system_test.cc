@@ -112,6 +112,28 @@ TEST(SystemIntegration, DistributedArbiterWorks)
     EXPECT_LT(r.execTime, single.execTime * 3 / 2);
 }
 
+TEST(SystemIntegration, EveryGrantedWIsReleased)
+{
+    // Fault-free, every non-empty W the arbiter grants is released by
+    // its commit's acknowledgements before the run ends: nothing is
+    // pending at the end, with the central or the distributed arbiter.
+    for (unsigned arbiters : {1u, 4u}) {
+        for (const AppProfile &p : allProfiles()) {
+            MachineConfig cfg;
+            cfg.numProcs = 8;
+            cfg.numArbiters = arbiters;
+            cfg.mem.numDirectories = arbiters;
+            System sys(cfg, generateTraces(p, 8, 8'000));
+            Results r = sys.run();
+            ASSERT_TRUE(r.completed) << p.name;
+            ASSERT_NE(sys.arbiter(), nullptr);
+            EXPECT_GT(sys.arbiter()->stats().grants, 0u) << p.name;
+            EXPECT_EQ(sys.arbiter()->pendingW(), 0u)
+                << p.name << " with " << arbiters << " arbiter(s)";
+        }
+    }
+}
+
 TEST(SystemIntegration, DirectoryCacheDisplacementsHandled)
 {
     MachineConfig cfg;

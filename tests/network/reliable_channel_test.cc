@@ -35,7 +35,7 @@ struct Harness
         : faults(planeFor(spec)), net(eq, NetworkConfig{}),
           chan(eq, net, faults, ChannelParams{}, /*num_procs=*/8,
                /*num_dirs=*/1),
-          arb(eq, chan, 9, /*processing=*/5, /*rsig=*/true)
+          arb(eq, chan, 9, /*count=*/1, /*processing=*/5, /*rsig=*/true)
     {}
 
     std::shared_ptr<Signature>
