@@ -10,11 +10,15 @@
  * directory index, the speculative-line counts, the value store)
  * against std::unordered_map; and the axiomatic SC checker's
  * per-commit cost (MemOrderGraph), the analysis layer's host time
- * measured apart from any simulation.
+ * measured apart from any simulation; and one spin poll of the
+ * synchronization engine, in host time and heap allocations.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <new>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -24,6 +28,39 @@
 #include "signature/signature.hh"
 #include "sim/line_set.hh"
 #include "sim/rng.hh"
+#include "system/system.hh"
+#include "workload/generator.hh"
+
+/** Heap allocations so far (BM_SyncSpin); the benchmarks run on one
+ *  thread. */
+static std::uint64_t gAllocs = 0;
+
+// GCC takes the malloc/free pairs below for a mismatch with the
+// operator new they implement.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void *
+operator new(std::size_t n)
+{
+    ++gAllocs;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 using namespace bulksc;
 
@@ -383,6 +420,81 @@ BM_GraphCommit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kAccesses);
 }
 BENCHMARK(BM_GraphCommit)->Arg(4096)->Arg(262144);
+
+/** One run of a barrier whose early arriver spins. */
+struct SpinRun
+{
+    double ns;
+    double allocs;
+    double polls;
+};
+
+/**
+ * Two processors meet at a barrier; processor 1 arrives after @p late
+ * instructions of other work while processor 0 polls. Processor 0
+ * commits its arrival with an I/O op, and chunks are far larger than
+ * the spin, so under BulkSC the commits do not depend on @p late.
+ */
+SpinRun
+spinRun(Model model, std::uint32_t late)
+{
+    auto op = [](OpType type, std::uint32_t gap) {
+        Op o;
+        o.type = type;
+        o.addr = type == OpType::Load ? 0x1000 : layout::kBarrierBase;
+        o.gap = gap;
+        o.aux = 0;
+        return o;
+    };
+    Trace early;
+    early.ops = {op(OpType::BarrierArrive, 2), op(OpType::Io, 2),
+                 op(OpType::BarrierWait, 2)};
+    early.finalize();
+    Trace slow;
+    slow.ops = {op(OpType::Load, late), op(OpType::BarrierArrive, 2),
+                op(OpType::BarrierWait, 2)};
+    slow.finalize();
+    MachineConfig cfg;
+    cfg.model = model;
+    cfg.numProcs = 2;
+    cfg.cpu.numBarrierProcs = 2;
+    cfg.bulk.chunkSize = 100'000'000;
+    System sys(cfg, {early, slow});
+    const std::uint64_t allocs = gAllocs;
+    const auto t0 = std::chrono::steady_clock::now();
+    sys.run();
+    const auto t1 = std::chrono::steady_clock::now();
+    return {std::chrono::duration<double, std::nano>(t1 - t0).count(),
+            static_cast<double>(gAllocs - allocs),
+            static_cast<double>(sys.processor(0).spinInstrs() /
+                                cfg.cpu.spinLoopInstrs)};
+}
+
+/**
+ * The marginal cost of one spin poll (a BarrierWait's generation load
+ * plus its rescheduling): the difference between a barrier whose late
+ * arriver comes 1M instructions late and one 100k late, over the
+ * difference in polls (about 8000). Counters ns_per_poll and
+ * allocs_per_poll; arg bulk:0 is RC, bulk:1 BSCdypvt.
+ */
+void
+BM_SyncSpin(benchmark::State &state)
+{
+    const Model model = state.range(0) ? Model::BSCdypvt : Model::RC;
+    double ns = 0;
+    double allocs = 0;
+    double polls = 0;
+    for (auto _ : state) {
+        SpinRun near = spinRun(model, 100'000);
+        SpinRun far = spinRun(model, 1'000'000);
+        ns += far.ns - near.ns;
+        allocs += far.allocs - near.allocs;
+        polls += far.polls - near.polls;
+    }
+    state.counters["ns_per_poll"] = ns / polls;
+    state.counters["allocs_per_poll"] = allocs / polls;
+}
+BENCHMARK(BM_SyncSpin)->ArgName("bulk")->Arg(0)->Arg(1);
 
 } // namespace
 

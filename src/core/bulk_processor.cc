@@ -423,14 +423,7 @@ BulkProcessor::advance()
                 maybeArbitrate();
                 continue;
             }
-            syncBusy = true;
-            execSync(op, [this, e = epoch] {
-                if (epoch != e)
-                    return;
-                syncBusy = false;
-                finishOp();
-                advance();
-            });
+            execSync(op);
             return;
         }
     }
@@ -833,28 +826,48 @@ BulkProcessor::chargeInstrs(unsigned n)
     }
 }
 
+template <typename F>
 void
-BulkProcessor::withChunk(std::function<void(Chunk &)> fn)
+BulkProcessor::withChunk(F fn)
 {
-    Chunk *c = currentChunk();
-    if (c) {
+    if (Chunk *c = currentChunk()) {
         fn(*c);
         return;
     }
-    eventq.scheduleAfter(10, [this, fn = std::move(fn), e = epoch] {
-        if (epoch != e)
-            return;
-        withChunk(std::move(fn));
+    eventq.scheduleAfter(10, [this, fn, e = epoch] {
+        if (epoch == e)
+            withChunk(fn);
     });
 }
 
 void
-BulkProcessor::syncLoad(Addr addr,
-                        std::function<void(std::uint64_t)> done)
+BulkProcessor::syncDone()
 {
-    withChunk([this, addr, done](Chunk &c) {
+    finishOp();
+    advance();
+}
+
+void
+BulkProcessor::syncLoad(Addr addr)
+{
+    syncRead(addr, std::nullopt);
+}
+
+void
+BulkProcessor::syncRmw(Addr addr, RmwOp op)
+{
+    // Load + conditional speculative store; the chunk's atomicity
+    // makes the pair atomic (Section 3.3: synchronization operations
+    // execute inside chunks with no fences).
+    syncRead(addr, op);
+}
+
+void
+BulkProcessor::syncRead(Addr addr, std::optional<RmwOp> rmw)
+{
+    withChunk([this, addr, rmw](Chunk &c) {
         loadToChunk(c, lineOf(addr, prm.lineBytes), false);
-        auto fin = [this, addr, done, e = epoch] {
+        auto fin = [this, addr, rmw, e = epoch] {
             if (epoch != e)
                 return;
             // The value binds now, possibly in a later chunk than the
@@ -862,11 +875,19 @@ BulkProcessor::syncLoad(Addr addr,
             // committed while a spin was in progress), so the read is
             // attributed — R signature and access log — to the
             // chunk that is current when it completes.
-            withChunk([this, addr, done](Chunk &now) {
+            withChunk([this, addr, rmw](Chunk &now) {
                 loadToChunk(now, lineOf(addr, prm.lineBytes), false);
                 LoadBinding b = bindLoad(addr);
                 logLoad(now, addr, b, true);
-                done(b.value);
+                if (rmw) {
+                    std::uint64_t next = applyRmw(*rmw, b.value);
+                    if (next != b.value) {
+                        withChunk([this, addr, next](Chunk &s) {
+                            storeToChunk(s, addr, false, true, next);
+                        });
+                    }
+                }
+                syncResume(b.value);
             });
         };
         auto lat = mem.access(pid, addr, MemCmd::Read, fin);
@@ -876,44 +897,20 @@ BulkProcessor::syncLoad(Addr addr,
 }
 
 void
-BulkProcessor::syncStore(Addr addr, std::uint64_t value,
-                         std::function<void()> done)
+BulkProcessor::syncStore(Addr addr, std::uint64_t value)
 {
-    withChunk([this, addr, value, done](Chunk &c) {
+    withChunk([this, addr, value](Chunk &c) {
         storeToChunk(c, addr, false, true, value);
         // Stores retire immediately (stall-free writes, Section 6).
-        eventq.scheduleAfter(1, [done, this, e = epoch] {
-            if (epoch != e)
-                return;
-            done();
+        eventq.scheduleAfter(1, [this, e = epoch] {
+            if (epoch == e)
+                syncResume(0);
         });
     });
 }
 
 void
-BulkProcessor::syncRmw(Addr addr,
-                       std::function<std::uint64_t(std::uint64_t)> modify,
-                       std::function<void(std::uint64_t)> done)
-{
-    // Load + conditional speculative store; the chunk's atomicity
-    // makes the pair atomic (Section 3.3: synchronization operations
-    // execute inside chunks with no fences).
-    syncLoad(addr, [this, addr, modify, done,
-                    e = epoch](std::uint64_t old) {
-        if (epoch != e)
-            return;
-        std::uint64_t next = modify(old);
-        if (next != old) {
-            withChunk([this, addr, next](Chunk &c) {
-                storeToChunk(c, addr, false, true, next);
-            });
-        }
-        done(old);
-    });
-}
-
-void
-BulkProcessor::execIo(std::function<void()> done)
+BulkProcessor::execIo()
 {
     // Uncached operations wait for every chunk to commit, execute
     // non-speculatively, then a fresh chunk starts (Section 4.1.3).
@@ -921,22 +918,25 @@ BulkProcessor::execIo(std::function<void()> done)
         chunks.back()->endReached = true;
         maybeArbitrate();
     }
-    // The stored function captures itself weakly (a shared_ptr cycle
-    // never frees); the scheduled retry carries the strong reference.
-    auto waiter = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> wwaiter = waiter;
-    *waiter = [this, done, wwaiter, e = epoch] {
-        if (epoch != e)
-            return;
-        if (chunks.empty() && committingCount == 0) {
-            eventq.scheduleAfter(prm.ioLatency, done);
-            return;
-        }
-        maybeArbitrate();
-        auto self = wwaiter.lock();
-        eventq.scheduleAfter(10, [self] { (*self)(); });
-    };
-    (*waiter)();
+    ioPoll();
+}
+
+void
+BulkProcessor::ioPoll()
+{
+    const std::uint64_t e = epoch;
+    if (chunks.empty() && committingCount == 0) {
+        eventq.scheduleAfter(prm.ioLatency, [this, e] {
+            if (epoch == e)
+                syncResume(0);
+        });
+        return;
+    }
+    maybeArbitrate();
+    eventq.scheduleAfter(10, [this, e] {
+        if (epoch == e)
+            ioPoll();
+    });
 }
 
 } // namespace bulksc

@@ -18,6 +18,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "analysis/analysis_engine.hh"
@@ -181,14 +182,11 @@ class BulkProcessor : public ProcessorBase
   protected:
     void advance() override;
 
-    void syncLoad(Addr addr,
-                  std::function<void(std::uint64_t)> done) override;
-    void syncStore(Addr addr, std::uint64_t value,
-                   std::function<void()> done) override;
-    void syncRmw(Addr addr,
-                 std::function<std::uint64_t(std::uint64_t)> modify,
-                 std::function<void(std::uint64_t)> done) override;
-    void execIo(std::function<void()> done) override;
+    void syncDone() override;
+    void syncLoad(Addr addr) override;
+    void syncStore(Addr addr, std::uint64_t value) override;
+    void syncRmw(Addr addr, RmwOp op) override;
+    void execIo() override;
     void chargeInstrs(unsigned n) override;
 
   private:
@@ -271,8 +269,24 @@ class BulkProcessor : public ProcessorBase
     void onArbReply(std::uint64_t seq, const std::shared_ptr<Signature> &w,
                     bool granted);
 
-    /** Run @p fn with the current chunk, retrying while stalled. */
-    void withChunk(std::function<void(Chunk &)> fn);
+    /**
+     * Run @p fn with the current chunk, retrying every 10 cycles while
+     * stalled on chunk slots, until a squash intervenes. @p fn should
+     * capture only scalars: it rides in each retry event.
+     */
+    template <typename F>
+    void withChunk(F fn);
+
+    /**
+     * A sync load, or with @p rmw a read-modify-write: the line enters
+     * R now, and the value binds (and the RMW's store joins a chunk)
+     * when the data arrives.
+     */
+    void syncRead(Addr addr, std::optional<RmwOp> rmw);
+
+    /** Retry an I/O op every 10 cycles until every chunk drained,
+     *  then perform it. */
+    void ioPoll();
 
     BulkParams bprm;
     Arbiter &arb;
@@ -289,7 +303,6 @@ class BulkProcessor : public ProcessorBase
     OpWindow<WinEntry> window;
     Tick fetchAvail = 0;
     bool gapCharged = false;
-    bool syncBusy = false;
 
     PrivateBuffer privBuf;
 

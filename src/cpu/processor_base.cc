@@ -72,130 +72,155 @@ ProcessorBase::chargeInstrs(unsigned n)
 }
 
 void
-ProcessorBase::execIo(std::function<void()> done)
+ProcessorBase::syncLoad(Addr addr)
 {
-    eventq.scheduleAfter(prm.ioLatency, std::move(done));
+    auto fin = [this, addr, e = epoch] {
+        std::uint64_t v = mem.readValue(addr);
+        if (epoch == e)
+            syncResume(v);
+    };
+    if (auto lat = mem.access(pid, addr, MemCmd::Read, fin))
+        eventq.scheduleAfter(*lat, fin);
 }
 
 void
-ProcessorBase::execSync(const Op &op, std::function<void()> done)
+ProcessorBase::syncStore(Addr addr, std::uint64_t value)
 {
-    // A squash (epoch bump) abandons any in-flight sync chain; the
-    // re-executed op starts a fresh one.
-    const std::uint64_t e = epoch;
+    // The write lands even if a squash came in between: the baselines
+    // perform sync stores non-speculatively.
+    auto fin = [this, addr, value, e = epoch] {
+        mem.writeValue(addr, value);
+        if (epoch == e)
+            syncResume(0);
+    };
+    if (auto lat = mem.access(pid, addr, MemCmd::ReadEx, fin))
+        eventq.scheduleAfter(*lat, fin);
+}
+
+void
+ProcessorBase::syncRmw(Addr addr, RmwOp op)
+{
+    auto fin = [this, addr, op, e = epoch] {
+        std::uint64_t old = mem.readValue(addr);
+        std::uint64_t next = applyRmw(op, old);
+        if (next != old)
+            mem.writeValue(addr, next);
+        if (epoch == e)
+            syncResume(old);
+    };
+    if (auto lat = mem.access(pid, addr, MemCmd::ReadEx, fin))
+        eventq.scheduleAfter(*lat, fin);
+}
+
+void
+ProcessorBase::execIo()
+{
+    eventq.scheduleAfter(prm.ioLatency, [this, e = epoch] {
+        if (epoch == e)
+            syncResume(0);
+    });
+}
+
+void
+ProcessorBase::execSync(const Op &op)
+{
+    panic_if(syncBusy, name(), ": a second sync op started");
+    syncBusy = true;
+    // Centralized barrier: count word at op.addr, generation word one
+    // line above; barrier b publishes (and waits for) generation b+1,
+    // which keeps the publish idempotent under chunk re-execution.
+    sync = {op.type, op.addr, op.aux + 1, 0, 0};
     switch (op.type) {
-      case OpType::Acquire: {
-        // Test-and-set with exponential backoff; atomicity comes from
-        // the model's syncRmw primitive.
-        // The stored function must not own itself (a shared_ptr
-        // cycle never frees): it captures a weak_ptr, and each
-        // in-flight continuation carries the strong reference.
-        auto attempt = std::make_shared<std::function<void()>>();
-        auto attempts = std::make_shared<unsigned>(0);
-        Addr lock = op.addr;
-        std::weak_ptr<std::function<void()>> wattempt = attempt;
-        *attempt = [this, e, lock, done, wattempt, attempts] {
-            if (epoch != e)
-                return;
-            auto self = wattempt.lock();
-            syncRmw(
-                lock,
-                [](std::uint64_t v) {
-                    return v == 0 ? std::uint64_t{1} : v;
-                },
-                [this, e, done, self,
-                 attempts](std::uint64_t old) {
-                    if (epoch != e)
-                        return;
-                    if (old == 0) {
-                        done();
-                        return;
-                    }
-                    ++*attempts;
-                    chargeInstrs(prm.spinLoopInstrs);
-                    unsigned factor =
-                        *attempts < 8 ? *attempts : 8;
-                    eventq.scheduleAfter(prm.spinPoll * factor,
-                                         [self] { (*self)(); });
-                });
-        };
-        (*attempt)();
+      case OpType::Acquire:
+      case OpType::BarrierWait:
+        syncPoll();
         return;
-      }
       case OpType::Release:
-        syncStore(op.addr, 0, std::move(done));
+        syncStore(op.addr, 0);
         return;
-      case OpType::BarrierArrive: {
-        // Centralized barrier: count word at op.addr, generation word
-        // one line above. The last arriver resets the count and
-        // publishes generation = barrier index + 1 (idempotent under
-        // chunk re-execution).
-        Addr count_addr = op.addr;
-        Addr gen_addr = op.addr + prm.lineBytes;
-        std::uint64_t gen_val = op.aux + 1;
-        unsigned total = prm.numBarrierProcs;
-        syncRmw(
-            count_addr,
-            [](std::uint64_t v) { return v + 1; },
-            [this, e, count_addr, gen_addr, gen_val, total,
-             done](std::uint64_t old) {
-                if (epoch != e)
-                    return;
-                EVENT_TRACE(TraceEventType::BarrierArrive, curTick(),
-                            trackProc(pid), 0, old + 1, 0,
-                            static_cast<std::uint32_t>(gen_val - 1));
-                if (old + 1 == total) {
-                    syncStore(count_addr, 0,
-                              [this, e, gen_addr, gen_val, done] {
-                                  if (epoch != e)
-                                      return;
-                                  syncStore(gen_addr, gen_val, done);
-                              });
-                } else {
-                    done();
-                }
-            });
+      case OpType::BarrierArrive:
+        syncRmw(op.addr, RmwOp::Increment);
         return;
-      }
-      case OpType::BarrierWait: {
-        Addr gen_addr = op.addr + prm.lineBytes;
-        std::uint64_t want = op.aux + 1;
-        // Weak self-capture, as in Acquire above.
-        auto poll = std::make_shared<std::function<void()>>();
-        std::weak_ptr<std::function<void()>> wpoll = poll;
-        *poll = [this, e, gen_addr, want, done, wpoll] {
-            if (epoch != e)
-                return;
-            auto self = wpoll.lock();
-            syncLoad(gen_addr,
-                     [this, e, want, done, self](std::uint64_t v) {
-                         if (epoch != e)
-                             return;
-                         if (v >= want) {
-                             done();
-                             return;
-                         }
-                         chargeInstrs(prm.spinLoopInstrs);
-                         eventq.scheduleAfter(prm.spinPoll,
-                                              [self] { (*self)(); });
-                     });
-        };
-        (*poll)();
-        return;
-      }
       case OpType::Io:
-        execIo(std::move(done));
+        execIo();
         return;
       case OpType::TxBegin:
       case OpType::TxEnd:
         // Baselines have no transactional support: the markers are
         // no-ops (the BulkSC models intercept them before execSync
         // and align chunk boundaries to them).
-        done();
+        syncResume(0);
         return;
       default:
         panic("execSync called with non-sync op");
     }
+}
+
+void
+ProcessorBase::syncPoll()
+{
+    // Test-and-set with exponential backoff; atomicity comes from the
+    // model's syncRmw primitive.
+    if (sync.kind == OpType::Acquire)
+        syncRmw(sync.addr, RmwOp::TestAndSet);
+    else
+        syncLoad(sync.addr + prm.lineBytes);
+}
+
+void
+ProcessorBase::spinAgain(Tick delay)
+{
+    const std::uint64_t e = epoch;
+    chargeInstrs(prm.spinLoopInstrs);
+    eventq.scheduleAfter(delay, [this, e] {
+        if (epoch == e)
+            syncPoll();
+    });
+}
+
+void
+ProcessorBase::syncResume(std::uint64_t v)
+{
+    panic_if(!syncBusy, name(), ": sync step with no sync op in flight");
+    switch (sync.kind) {
+      case OpType::Acquire:
+        if (v != 0) {
+            ++sync.attempts;
+            spinAgain(prm.spinPoll *
+                      (sync.attempts < 8 ? sync.attempts : 8));
+            return;
+        }
+        break;
+      case OpType::BarrierWait:
+        if (v < sync.want) {
+            spinAgain(prm.spinPoll);
+            return;
+        }
+        break;
+      case OpType::BarrierArrive:
+        // The last arriver resets the count, then publishes the
+        // generation.
+        if (sync.step == 0) {
+            EVENT_TRACE(TraceEventType::BarrierArrive, curTick(),
+                        trackProc(pid), 0, v + 1, 0,
+                        static_cast<std::uint32_t>(sync.want - 1));
+            if (v + 1 != prm.numBarrierProcs)
+                break;
+            sync.step = 1;
+            syncStore(sync.addr, 0);
+            return;
+        }
+        if (sync.step == 1) {
+            sync.step = 2;
+            syncStore(sync.addr + prm.lineBytes, sync.want);
+            return;
+        }
+        break;
+      default:
+        break; // Release, Io and the transaction markers: one step
+    }
+    syncBusy = false;
+    syncDone();
 }
 
 std::uint64_t

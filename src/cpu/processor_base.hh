@@ -3,7 +3,8 @@
  * Common machinery for all processor models: front-end (fetch/issue
  * rate) accounting, load-value recording, statistics, and the
  * synchronization engine that executes lock/barrier operations on top
- * of model-specific load/store/RMW primitives.
+ * of load/store/RMW primitives (the baselines' copy here, BulkSC's in
+ * its processor).
  *
  * Timing is modelled at memory-op granularity: non-memory instructions
  * advance the front-end clock at the issue width; memory and
@@ -17,7 +18,6 @@
 #define BULKSC_CPU_PROCESSOR_BASE_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,6 +61,22 @@ struct CpuParams
     /** Maximum ticks of L1-hit work batched into one event. */
     Tick batchWindow = 64;
 };
+
+/** The atomic read-modify-writes of the synchronization engine. */
+enum class RmwOp : std::uint8_t
+{
+    TestAndSet, //!< lock acquire: 0 becomes 1, anything else stays
+    Increment,  //!< barrier arrival: v becomes v + 1
+};
+
+/** The value @p op leaves behind after reading @p v. */
+constexpr std::uint64_t
+applyRmw(RmwOp op, std::uint64_t v)
+{
+    if (op == RmwOp::Increment)
+        return v + 1;
+    return v == 0 ? 1 : v;
+}
 
 /**
  * Abstract base of all processor models.
@@ -128,33 +144,49 @@ class ProcessorBase : public SimObject, public CacheListener
     // --- synchronization engine ---
 
     /**
-     * Execute a synchronization or I/O op; @p done fires when it
-     * completes. Built on the model primitives below.
+     * Start the synchronization or I/O op @p op. At most one is in
+     * flight (@ref syncBusy); its state lives in @ref sync, and every
+     * scheduled step captures only `this`, the epoch it was issued in
+     * and a few scalars, so a spin poll allocates nothing. syncDone()
+     * runs when the op completes.
      */
-    void execSync(const Op &op, std::function<void()> done);
-
-    /** Model-specific timed load of a tracked value. */
-    virtual void syncLoad(Addr addr,
-                          std::function<void(std::uint64_t)> done) = 0;
-
-    /** Model-specific timed store of a tracked value. */
-    virtual void syncStore(Addr addr, std::uint64_t value,
-                           std::function<void()> done) = 0;
+    void execSync(const Op &op);
 
     /**
-     * Model-specific atomic read-modify-write: applies @p modify to the
-     * current value and reports the old value. Baselines make this
-     * atomic at the completion event; BulkSC makes it a speculative
-     * load + store pair whose atomicity comes from the chunk.
+     * The in-flight sync op completed. @ref syncBusy is already clear
+     * and the engine no longer reads @ref sync, so the model may start
+     * the next sync op from here.
      */
-    virtual void
-    syncRmw(Addr addr,
-            std::function<std::uint64_t(std::uint64_t)> modify,
-            std::function<void(std::uint64_t)> done) = 0;
+    virtual void syncDone() = 0;
 
-    /** Perform an uncached I/O operation (overridden by BulkSC to
-     *  drain chunks first, Section 4.1.3). */
-    virtual void execIo(std::function<void()> done);
+    /**
+     * Timed load of a tracked value. Completes by calling syncResume()
+     * with the value, unless a squash (epoch bump) came in between.
+     * The baseline performs the access non-speculatively.
+     */
+    virtual void syncLoad(Addr addr);
+
+    /** Timed store of a tracked value; completes like syncLoad(). */
+    virtual void syncStore(Addr addr, std::uint64_t value);
+
+    /**
+     * Atomic read-modify-write; completes like syncLoad() with the old
+     * value. The baseline makes it atomic at the completion event;
+     * BulkSC makes it a speculative load + store pair whose atomicity
+     * comes from the chunk.
+     */
+    virtual void syncRmw(Addr addr, RmwOp op);
+
+    /** Uncached I/O; completes like syncStore(). Overridden by BulkSC
+     *  to drain chunks first (Section 4.1.3). */
+    virtual void execIo();
+
+    /**
+     * Continue the in-flight sync op with the value its last step read
+     * (0 after a store or I/O). Called only by the primitives above,
+     * and only while the epoch they were issued in is current.
+     */
+    void syncResume(std::uint64_t v);
 
     /** Charge spin-loop instructions (models extend, e.g. to grow the
      *  current chunk). */
@@ -179,6 +211,10 @@ class ProcessorBase : public SimObject, public CacheListener
     /** Squash epoch: callbacks from before a squash are stale. */
     std::uint64_t epoch = 0;
 
+    /** A sync op is in flight. A squash clears it and bumps the
+     *  epoch, which strands the old op's pending steps. */
+    bool syncBusy = false;
+
     // statistics (maintained by subclasses)
     std::uint64_t nRetired = 0;
     std::uint64_t nWasted = 0;
@@ -186,6 +222,26 @@ class ProcessorBase : public SimObject, public CacheListener
     std::uint64_t nSpin = 0;
 
   private:
+    /** Issue one attempt of a spinning op: the test-and-set of an
+     *  Acquire, the generation load of a BarrierWait. */
+    void syncPoll();
+
+    /** Charge one spin-loop iteration and poll again @p delay cycles
+     *  from now, unless a squash intervenes. */
+    void spinAgain(Tick delay);
+
+    /** The in-flight sync op (valid while @ref syncBusy). */
+    struct SyncState
+    {
+        OpType kind = OpType::Acquire;
+        Addr addr = 0;          //!< lock word, or barrier count word
+        std::uint64_t want = 0; //!< barrier generation to publish/await
+        unsigned attempts = 0;  //!< failed test-and-sets (backoff)
+        std::uint8_t step = 0;  //!< BarrierArrive: 0 increment, 1 count
+                                //!< reset, 2 generation publish
+    };
+    SyncState sync;
+
     Tick fetchTick = 0;
     std::uint32_t fetchCarry = 0;
 

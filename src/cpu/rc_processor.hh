@@ -31,13 +31,7 @@ class RcProcessor : public ProcessorBase
   protected:
     void advance() override;
 
-    void syncLoad(Addr addr,
-                  std::function<void(std::uint64_t)> done) override;
-    void syncStore(Addr addr, std::uint64_t value,
-                   std::function<void()> done) override;
-    void syncRmw(Addr addr,
-                 std::function<std::uint64_t(std::uint64_t)> modify,
-                 std::function<void(std::uint64_t)> done) override;
+    void syncDone() override;
 
     /** An op in the instruction window. */
     struct WinEntry
@@ -67,7 +61,6 @@ class RcProcessor : public ProcessorBase
 
     Tick fetchAvail = 0;
     bool gapCharged = false;
-    bool syncBusy = false;
 };
 
 } // namespace bulksc

@@ -43,7 +43,7 @@ ScProcessor::completeOp(const Op &op)
 void
 ScProcessor::advance()
 {
-    if (busy)
+    if (busy || syncBusy)
         return;
     while (true) {
         if (pos >= trace.ops.size()) {
@@ -75,13 +75,7 @@ ScProcessor::advance()
                 scheduleAdvance(start);
                 return;
             }
-            busy = true;
-            execSync(op, [this, &op] {
-                busy = false;
-                performTick = curTick();
-                completeOp(op);
-                advance();
-            });
+            execSync(op);
             return;
         }
 
@@ -108,50 +102,11 @@ ScProcessor::advance()
 }
 
 void
-ScProcessor::syncLoad(Addr addr, std::function<void(std::uint64_t)> done)
+ScProcessor::syncDone()
 {
-    auto lat = mem.access(pid, addr, MemCmd::Read, [this, addr, done] {
-        done(mem.readValue(addr));
-    });
-    if (lat) {
-        eventq.scheduleAfter(*lat, [this, addr, done] {
-            done(mem.readValue(addr));
-        });
-    }
-}
-
-void
-ScProcessor::syncStore(Addr addr, std::uint64_t value,
-                       std::function<void()> done)
-{
-    auto lat =
-        mem.access(pid, addr, MemCmd::ReadEx, [this, addr, value, done] {
-            mem.writeValue(addr, value);
-            done();
-        });
-    if (lat) {
-        eventq.scheduleAfter(*lat, [this, addr, value, done] {
-            mem.writeValue(addr, value);
-            done();
-        });
-    }
-}
-
-void
-ScProcessor::syncRmw(Addr addr,
-                     std::function<std::uint64_t(std::uint64_t)> modify,
-                     std::function<void(std::uint64_t)> done)
-{
-    auto fin = [this, addr, modify, done] {
-        std::uint64_t old = mem.readValue(addr);
-        std::uint64_t next = modify(old);
-        if (next != old)
-            mem.writeValue(addr, next);
-        done(old);
-    };
-    auto lat = mem.access(pid, addr, MemCmd::ReadEx, fin);
-    if (lat)
-        eventq.scheduleAfter(*lat, fin);
+    performTick = curTick();
+    completeOp(trace.ops[pos]);
+    advance();
 }
 
 } // namespace bulksc

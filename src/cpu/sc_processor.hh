@@ -29,13 +29,7 @@ class ScProcessor : public ProcessorBase
   protected:
     void advance() override;
 
-    void syncLoad(Addr addr,
-                  std::function<void(std::uint64_t)> done) override;
-    void syncStore(Addr addr, std::uint64_t value,
-                   std::function<void()> done) override;
-    void syncRmw(Addr addr,
-                 std::function<std::uint64_t(std::uint64_t)> modify,
-                 std::function<void(std::uint64_t)> done) override;
+    void syncDone() override;
 
   private:
     void issuePrefetches();
@@ -51,7 +45,7 @@ class ScProcessor : public ProcessorBase
     Tick fetchAvail = 0;
     bool gapCharged = false;
 
-    /** An op (miss or sync) is in flight. */
+    /** A demand miss is in flight (a sync op sets syncBusy). */
     bool busy = false;
 };
 

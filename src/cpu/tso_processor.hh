@@ -37,13 +37,7 @@ class TsoProcessor : public ProcessorBase
   protected:
     void advance() override;
 
-    void syncLoad(Addr addr,
-                  std::function<void(std::uint64_t)> done) override;
-    void syncStore(Addr addr, std::uint64_t value,
-                   std::function<void()> done) override;
-    void syncRmw(Addr addr,
-                 std::function<std::uint64_t(std::uint64_t)> modify,
-                 std::function<void(std::uint64_t)> done) override;
+    void syncDone() override;
 
   private:
     void issuePrefetches();
@@ -59,6 +53,8 @@ class TsoProcessor : public ProcessorBase
 
     Tick fetchAvail = 0;
     bool gapCharged = false;
+
+    /** A demand load miss is in flight (a sync op sets syncBusy). */
     bool busy = false;
 
     /** FIFO store buffer: op indices awaiting drain. */

@@ -29,9 +29,9 @@ namespace bulksc {
 class InlineCallback
 {
   public:
-    /** Inline capture budget; the simulator's largest hot-path lambda
-     *  (io-drain retry: this + std::function + weak_ptr + epoch) is
-     *  exactly 64 bytes. */
+    /** Inline capture budget: room for a this pointer, an epoch and
+     *  several scalars, or for a 32-byte std::function and a few
+     *  more words. */
     static constexpr std::size_t kInlineBytes = 64;
 
     InlineCallback() noexcept = default;

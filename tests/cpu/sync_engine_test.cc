@@ -180,44 +180,88 @@ INSTANTIATE_TEST_SUITE_P(Models, SyncModels,
                              return n;
                          });
 
+const std::vector<Model> kAllModels = {
+    Model::SC,      Model::TSO,      Model::RC,       Model::SCpp,
+    Model::BSCbase, Model::BSCdypvt, Model::BSCstpvt, Model::BSCexact};
+
+/** An arrive at or wait on barrier 0. */
+Op
+barrierOp(OpType type)
+{
+    Op op;
+    op.type = type;
+    op.addr = layout::kBarrierBase;
+    op.gap = 2;
+    op.aux = 0;
+    return op;
+}
+
+/** Arrive at and wait on barrier 0, after @p before. */
+Trace
+barrierTrace(std::vector<Op> before, std::vector<Op> after = {})
+{
+    before.push_back(barrierOp(OpType::BarrierArrive));
+    before.push_back(barrierOp(OpType::BarrierWait));
+    before.insert(before.end(), after.begin(), after.end());
+    return makeTrace(std::move(before));
+}
+
 TEST(SyncEngine, SpinInstructionsAreCharged)
 {
-    // A waiter that spins on a barrier charges spin instructions.
-    auto fast = [&] {
-        std::vector<Op> ops;
-        Op arrive;
-        arrive.type = OpType::BarrierArrive;
-        arrive.addr = layout::kBarrierBase;
-        arrive.gap = 2;
-        arrive.aux = 0;
-        ops.push_back(arrive);
-        Op wait = arrive;
-        wait.type = OpType::BarrierWait;
-        ops.push_back(wait);
-        return makeTrace(ops);
-    };
-    auto slow = [&] {
-        std::vector<Op> ops;
-        ops.push_back(load(0x1000, 5000)); // arrives late
-        Op arrive;
-        arrive.type = OpType::BarrierArrive;
-        arrive.addr = layout::kBarrierBase;
-        arrive.gap = 2;
-        arrive.aux = 0;
-        ops.push_back(arrive);
-        Op wait = arrive;
-        wait.type = OpType::BarrierWait;
-        ops.push_back(wait);
-        return makeTrace(ops);
-    };
-    MachineConfig cfg;
-    cfg.model = Model::RC;
-    cfg.numProcs = 2;
-    cfg.cpu.numBarrierProcs = 2;
-    System sys(cfg, {fast(), slow()});
-    Results r = sys.run(50'000'000);
-    ASSERT_TRUE(r.completed);
-    EXPECT_GT(sys.processor(0).spinInstrs(), 0u);
+    // A waiter that spins on a barrier charges spin instructions, in
+    // every model.
+    for (Model m : kAllModels) {
+        SCOPED_TRACE(modelName(m));
+        MachineConfig cfg;
+        cfg.model = m;
+        cfg.numProcs = 2;
+        cfg.cpu.numBarrierProcs = 2;
+        System sys(cfg, {barrierTrace({}),
+                         barrierTrace({load(0x1000, 5000)})}); // late
+        Results r = sys.run(50'000'000);
+        ASSERT_TRUE(r.completed);
+        EXPECT_GT(sys.processor(0).spinInstrs(), 0u);
+    }
+}
+
+TEST(SyncEngine, SquashMidSpinCompletesTheWaitOnce)
+{
+    // BulkSC: the waiter's spinning chunk reads the generation word, so
+    // the late arriver's publishing commit squashes it mid-spin. The
+    // squashed chain's pending step must do nothing (a step with no op
+    // in flight panics), and the re-executed wait must complete exactly
+    // once: a second completion would skip the load after it, leaving
+    // its result slot unwritten. The arrival moves through a whole
+    // poll period (spinPoll plus the L1 hit) in 1-cycle steps, so the
+    // squash lands both on a pending poll and on a poll's load.
+    const Addr data = 0xB000'0080;
+    const CpuParams cpu;
+    for (Model m : {Model::BSCbase, Model::BSCdypvt, Model::BSCstpvt,
+                    Model::BSCexact}) {
+        for (std::uint32_t shift = 0; shift < cpu.spinPoll + 2; ++shift) {
+            SCOPED_TRACE(std::string(modelName(m)) + " shift " +
+                         std::to_string(shift));
+            MachineConfig cfg;
+            cfg.model = m;
+            cfg.numProcs = 2;
+            cfg.cpu.numBarrierProcs = 2;
+            Trace waiter = barrierTrace({}, {load(data, 1, 0)});
+            Trace late = barrierTrace(
+                {store(data, 42),
+                 load(0x1000, 20000 + shift * cpu.issueWidth)});
+            System sys(cfg, {waiter, late});
+            Results r = sys.run(50'000'000);
+            ASSERT_TRUE(r.completed);
+            const ProcessorBase &p = sys.processor(0);
+            EXPECT_GT(p.spinInstrs(), 0u);
+            EXPECT_GT(p.squashes(), 0u);
+            EXPECT_EQ(p.loadResults().at(0), 42u);
+            EXPECT_EQ(sys.memory().readValue(layout::kBarrierBase +
+                                             kDefaultLineBytes),
+                      1u);
+            EXPECT_EQ(sys.memory().readValue(layout::kBarrierBase), 0u);
+        }
+    }
 }
 
 } // namespace

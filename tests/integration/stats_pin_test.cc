@@ -14,6 +14,9 @@
  * and SC++ with a small SHiQ, pin the instruction window's
  * bookkeeping.
  *
+ * The sync-engine rows pin the timing of locks and barriers in every
+ * model, fault-free and under the EXPERIMENTS.md fault mix.
+ *
  * Also pins the set of statistics keys (the numeric `--json` keys)
  * each `--check` selection produces.
  */
@@ -45,9 +48,9 @@ struct Pin
 };
 
 Results
-runCli(std::vector<const char *> args)
+runCli(std::vector<const char *> args, const char *instrs = "20000")
 {
-    args.insert(args.end(), {"--procs", "4", "--instrs", "20000"});
+    args.insert(args.end(), {"--procs", "4", "--instrs", instrs});
     SimOptions opts;
     std::string err;
     EXPECT_TRUE(OptionRegistry::instance().parse(
@@ -146,6 +149,108 @@ TEST(StatsPin, ScppShiqStallsAreUnchanged)
                 dynamic_cast<ScppProcessor &>(sys.processor(p)).shiqStalls();
         }
         EXPECT_EQ(stalls, pin.stalls);
+    }
+}
+
+/** exec_time and the counters a sync op moves: spin loops charge
+ *  cpu.spin_instrs (which cpu.retired_instrs includes), and every poll
+ *  that misses, every lock hand-off and every barrier release is
+ *  network traffic. */
+struct SyncPin
+{
+    const char *app;
+    const char *model;
+    double execTime;
+    double spinInstrs;
+    double retiredInstrs;
+    double netMessages;
+};
+
+void
+expectSyncPin(const Results &r, double exec_time, double spin,
+              double retired, double messages)
+{
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(r.stats.get("exec_time"), exec_time);
+    EXPECT_EQ(r.stats.get("cpu.spin_instrs"), spin);
+    EXPECT_EQ(r.stats.get("cpu.retired_instrs"), retired);
+    EXPECT_EQ(r.stats.get("net.messages"), messages);
+}
+
+TEST(StatsPin, SyncEngineCountersAreUnchanged)
+{
+    // At 20k instructions sjbb2k runs its (uncontended) locks and
+    // ocean stops short of its first barrier; at 50k ocean's barriers
+    // spin in every model.
+    const std::vector<SyncPin> at20k = {
+        {"sjbb2k", "SC", 19622, 0, 80004, 2288},
+        {"sjbb2k", "TSO", 16017, 0, 80004, 2300},
+        {"sjbb2k", "RC", 12548, 0, 80004, 2281},
+        {"sjbb2k", "SC++", 12548, 0, 80004, 2281},
+        {"sjbb2k", "BSCbase", 13187, 0, 80004, 3422},
+        {"sjbb2k", "BSCdypvt", 12804, 0, 80004, 2169},
+        {"sjbb2k", "BSCstpvt", 12757, 0, 80004, 2971},
+        {"sjbb2k", "BSCexact", 12468, 0, 80004, 2043},
+        {"ocean", "SC", 19396, 0, 80013, 1533},
+        {"ocean", "TSO", 16478, 0, 80013, 1543},
+        {"ocean", "RC", 12537, 0, 80013, 1520},
+        {"ocean", "SC++", 12537, 0, 80013, 1520},
+        {"ocean", "BSCbase", 12590, 0, 80013, 2436},
+        {"ocean", "BSCdypvt", 12569, 0, 80013, 1581},
+        {"ocean", "BSCstpvt", 12585, 0, 80013, 2151},
+        {"ocean", "BSCexact", 12569, 0, 80013, 1553},
+    };
+    const std::vector<SyncPin> at50k = {
+        {"ocean", "SC", 47743, 1176, 201184, 8637},
+        {"ocean", "TSO", 40004, 1440, 201448, 8667},
+        {"ocean", "RC", 30237, 2312, 202320, 8598},
+        {"ocean", "SC++", 30247, 2312, 202320, 8596},
+        {"ocean", "BSCbase", 30850, 2072, 202192, 11462},
+        {"ocean", "BSCdypvt", 30334, 2224, 202344, 8907},
+        {"ocean", "BSCstpvt", 30722, 2224, 202344, 10618},
+        {"ocean", "BSCexact", 30511, 2360, 202480, 8804},
+    };
+    for (const auto &[instrs, pins] :
+         {std::pair{"20000", &at20k}, std::pair{"50000", &at50k}}) {
+        for (const SyncPin &pin : *pins) {
+            SCOPED_TRACE(std::string(pin.app) + " " + pin.model + " " +
+                         instrs);
+            expectSyncPin(
+                runCli({"--app", pin.app, "--model", pin.model}, instrs),
+                pin.execTime, pin.spinInstrs, pin.retiredInstrs,
+                pin.netMessages);
+        }
+    }
+}
+
+TEST(StatsPin, SyncEngineUnderFaultsIsUnchanged)
+{
+    // ocean (BSCdypvt) under the app-faulted fault mix: message loss,
+    // duplicates, delays and NACKs around the spinning barriers.
+    const char *mix = "net.drop=0.05,net.dup=0.02,net.delay=0.2:1:50,"
+                      "arb.req_loss=0.02,arb.grant_loss=0.02,dir.nack=0.05";
+    struct FaultPin
+    {
+        const char *seed;
+        const char *instrs;
+        double execTime;
+        double spinInstrs;
+        double retiredInstrs;
+        double netMessages;
+    };
+    for (const FaultPin &pin : {FaultPin{"1", "20000", 14750, 0, 80013, 1910},
+                                FaultPin{"2", "20000", 13596, 0, 80013, 1658},
+                                FaultPin{"1", "50000", 34839, 1000, 201120,
+                                         9359},
+                                FaultPin{"2", "50000", 33713, 1936, 202056,
+                                         9125}}) {
+        SCOPED_TRACE(std::string("fault seed ") + pin.seed + " " +
+                     pin.instrs);
+        expectSyncPin(runCli({"--app", "ocean", "--faults", mix,
+                              "--fault-seed", pin.seed},
+                             pin.instrs),
+                      pin.execTime, pin.spinInstrs, pin.retiredInstrs,
+                      pin.netMessages);
     }
 }
 
