@@ -546,7 +546,7 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
     // the directory for expansion (Section 5.1).
     if (bprm.statPrivOpt && !c->wpriv.empty()) {
         auto wp = std::make_shared<Signature>(std::move(c->wpriv));
-        mem.bulkCommit(pid, wp, [] {}, nullptr, &c->wprivLines);
+        mem.bulkCommit(pid, wp, c->wprivLines, [] {});
     }
 
     // The chunk dies with pop_front; its exact write lines outlive it
@@ -562,7 +562,7 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
         ++committingCount;
         EVENT_TRACE(TraceEventType::CommitBegin, curTick(),
                     trackProc(pid), seq, w_lines.size());
-        mem.bulkCommit(pid, w,
+        mem.bulkCommit(pid, w, w_lines,
                        [this, w, seq] {
                            EVENT_TRACE(TraceEventType::CommitEnd,
                                        curTick(), trackProc(pid), seq);
@@ -570,7 +570,7 @@ BulkProcessor::onGranted(std::uint64_t seq, std::shared_ptr<Signature> w)
                            --committingCount;
                            advance();
                        },
-                       &bstats.invalNodes, &w_lines);
+                       &bstats.invalNodes);
     }
     advance();
 }
@@ -722,7 +722,7 @@ BulkProcessor::squashFrom(std::size_t idx, SquashCause cause)
         EVENT_TRACE(TraceEventType::ChunkSquash, curTick(),
                     trackProc(pid), c.seq, c.execInstrs,
                     static_cast<std::uint8_t>(cause));
-        mem.l1DiscardSpeculative(pid, c.w, &c.wLines);
+        mem.l1DiscardSpeculative(pid, c.w, c.wLines);
         releaseSpecLines(c);
         recycleLog(c);
         for (LineAddr line : c.privBufLines) {

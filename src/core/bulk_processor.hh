@@ -145,9 +145,6 @@ class BulkProcessor : public ProcessorBase
      *  in commit order. */
     void setAnalysis(AnalysisEngine *a) { analysis = a; }
 
-    /** Live chunks right now (testing hook). */
-    std::size_t liveChunks() const { return chunks.size(); }
-
     // --- forward-progress watchdog hooks ---
 
     /** Squashes since the last commit. */

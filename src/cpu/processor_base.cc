@@ -59,8 +59,22 @@ ProcessorBase::markFinished()
         return;
     finishedFlag = true;
     finishTick_ = curTick() > fetchTick ? curTick() : fetchTick;
-    if (onFinished)
-        onFinished();
+}
+
+void
+ProcessorBase::issuePrefetches()
+{
+    if (prefetchPos < pos)
+        prefetchPos = pos;
+    while (prefetchPos < trace.ops.size() &&
+           trace.instrsBetween(pos, prefetchPos) < prm.robInstrs) {
+        const Op &op = trace.ops[prefetchPos];
+        if (op.type == OpType::Load)
+            mem.access(pid, op.addr, MemCmd::Prefetch, nullptr);
+        else if (op.type == OpType::Store)
+            mem.access(pid, op.addr, MemCmd::PrefetchEx, nullptr);
+        ++prefetchPos;
+    }
 }
 
 void

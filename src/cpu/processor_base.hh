@@ -17,7 +17,6 @@
 #ifndef BULKSC_CPU_PROCESSOR_BASE_HH
 #define BULKSC_CPU_PROCESSOR_BASE_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -96,12 +95,6 @@ class ProcessorBase : public SimObject, public CacheListener
     /** Tick at which the trace completed (valid once finished()). */
     Tick finishTick() const { return finishTick_; }
 
-    /** Invoked once when the trace completes. */
-    void setOnFinished(std::function<void()> cb)
-    {
-        onFinished = std::move(cb);
-    }
-
     ProcId procId() const { return pid; }
 
     /** Values observed by recording loads, indexed by slot. */
@@ -135,11 +128,18 @@ class ProcessorBase : public SimObject, public CacheListener
      */
     Tick fetchAdvance(std::uint32_t instrs);
 
-    /** Mark the trace complete and fire the finished callback. */
+    /** Mark the trace complete and record its finish tick. */
     void markFinished();
 
     /** Schedule an advance() wakeup at absolute tick @p when. */
     void scheduleAdvance(Tick when);
+
+    /**
+     * In-order read/exclusive prefetching (SC and TSO): prefetch every
+     * load and store within a ROB's worth of instructions past @ref
+     * pos, each once.
+     */
+    void issuePrefetches();
 
     // --- synchronization engine ---
 
@@ -208,6 +208,9 @@ class ProcessorBase : public SimObject, public CacheListener
     /** Next op index to execute. */
     std::size_t pos = 0;
 
+    /** Next op index issuePrefetches() has not prefetched. */
+    std::size_t prefetchPos = 0;
+
     /** Squash epoch: callbacks from before a squash are stale. */
     std::uint64_t epoch = 0;
 
@@ -247,7 +250,6 @@ class ProcessorBase : public SimObject, public CacheListener
 
     bool finishedFlag = false;
     Tick finishTick_ = 0;
-    std::function<void()> onFinished;
 
     std::vector<std::uint64_t> results;
 

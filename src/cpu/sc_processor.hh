@@ -32,11 +32,7 @@ class ScProcessor : public ProcessorBase
     void syncDone() override;
 
   private:
-    void issuePrefetches();
     void completeOp(const Op &op);
-
-    /** Next op index to prefetch for. */
-    std::size_t prefetchPos = 0;
 
     /** Time the in-order perform chain has reached. */
     Tick performTick = 0;

@@ -9,22 +9,6 @@ TsoProcessor::TsoProcessor(EventQueue &eq, const std::string &name,
 {}
 
 void
-TsoProcessor::issuePrefetches()
-{
-    if (prefetchPos < pos)
-        prefetchPos = pos;
-    while (prefetchPos < trace.ops.size() &&
-           trace.instrsBetween(pos, prefetchPos) < prm.robInstrs) {
-        const Op &op = trace.ops[prefetchPos];
-        if (op.type == OpType::Load)
-            mem.access(pid, op.addr, MemCmd::Prefetch, nullptr);
-        else if (op.type == OpType::Store)
-            mem.access(pid, op.addr, MemCmd::PrefetchEx, nullptr);
-        ++prefetchPos;
-    }
-}
-
-void
 TsoProcessor::drainStores()
 {
     if (drainInFlight || storeBuffer.empty())

@@ -40,13 +40,10 @@ class TsoProcessor : public ProcessorBase
     void syncDone() override;
 
   private:
-    void issuePrefetches();
     void completeOp(const Op &op);
 
     /** Drain the head of the store buffer when ownership arrives. */
     void drainStores();
-
-    std::size_t prefetchPos = 0;
 
     /** Time the in-order load chain has reached. */
     Tick performTick = 0;

@@ -105,8 +105,6 @@ RunController::orderBatch(Tick now,
     std::vector<std::uint32_t> remaining = tagged;
     while (remaining.size() > 1) {
         auto m = static_cast<std::uint32_t>(remaining.size());
-        if (m > 64)
-            ++nCapped;
         std::uint64_t mask = 1;
         if (por) {
             for (std::uint32_t j = 1; j < m && j < 64; ++j) {

@@ -47,8 +47,7 @@ struct DecisionRecord
     /**
      * Bit j set => alternative j is worth exploring (POR). Bit 0 is
      * always set. Alternatives past bit 63 are never marked (domains
-     * that large do not occur in practice; a capped domain is counted
-     * in cappedDomains()).
+     * that large do not occur in practice).
      */
     std::uint64_t allowedMask = 1;
 
@@ -97,10 +96,6 @@ class RunController : public ScheduleController
      *  (kind or domain size); 0 when replaying a recorded trace. */
     std::uint64_t mismatches() const { return nMismatch; }
 
-    /** Ordering domains larger than 64 (alternatives past 63 are not
-     *  explored). */
-    std::uint64_t cappedDomains() const { return nCapped; }
-
     /** True iff two registered events must not be reordered. */
     static bool dependent(const EventFootprint &a,
                           const EventFootprint &b);
@@ -116,7 +111,6 @@ class RunController : public ScheduleController
     std::vector<EventFootprint> events;
     std::vector<DecisionRecord> trace_;
     std::uint64_t nMismatch = 0;
-    std::uint64_t nCapped = 0;
 
     // orderBatch scratch
     std::vector<std::uint32_t> tagged;

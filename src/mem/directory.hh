@@ -56,8 +56,6 @@ struct DirEntry
     }
 
     void addSharer(ProcId p) { sharers |= 1u << p; }
-
-    void clearSharers() { sharers = 0; }
 };
 
 /** Outcome of expanding one W signature at a directory module. */

@@ -391,7 +391,7 @@ MemorySystem::handleDirDisplacements(
                                      1);
                          if (l1s[q].listener)
                              l1s[q].listener->onRemoteWSig(*sig);
-                         applyBulkInval(q, *sig, false);
+                         applyBulkInval(q, *sig, nullptr);
                      },
                      wsigFp(sig));
         }
@@ -400,9 +400,9 @@ MemorySystem::handleDirDisplacements(
 
 void
 MemorySystem::applyBulkInval(ProcId p, const Signature &w,
-                             bool spec_discard,
                              const LineSet *spec_lines)
 {
+    const bool spec_discard = spec_lines != nullptr;
     L1 &c = l1s[p];
 
     // Delta-decode bank 0 into candidate cache sets, then probe each
@@ -443,9 +443,7 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
         // Squash discard: the chunk's truly written lines (its
         // per-line chunk-id bits) drop without writeback; aliased
         // victims hold committed data that must stay safe.
-        bool spec_data =
-            spec_discard && (spec_lines ? spec_lines->contains(line)
-                                        : w.containsExact(line));
+        bool spec_data = spec_discard && spec_lines->contains(line);
         const CacheLine *e = c.array.peek(line);
         if (e && e->state == LineState::Dirty && !spec_data) {
             // Committed dirty data hit by (aliased) bulk invalidation:
@@ -466,9 +464,9 @@ MemorySystem::applyBulkInval(ProcId p, const Signature &w,
 
 void
 MemorySystem::bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
+                         const LineSet &w_lines,
                          std::function<void()> done,
-                         unsigned *inval_nodes_out,
-                         const LineSet *w_lines)
+                         unsigned *inval_nodes_out)
 {
     if (w->empty()) {
         done();
@@ -481,11 +479,8 @@ MemorySystem::bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
     if (dirs.size() == 1) {
         involved.push_back(0);
     } else {
-        panic_if(!w_lines && !w->tracksExact(),
-                 "multi-directory commit needs the chunk's written "
-                 "lines or an exact-tracking signature");
         std::vector<bool> mark(dirs.size(), false);
-        for (LineAddr l : w_lines ? *w_lines : w->exactLines())
+        for (LineAddr l : w_lines)
             mark[dirOf(l)] = true;
         // Ascending module order, as Arbiter::rangesOf: the
         // line set's iteration order must never reach the send order.
@@ -569,7 +564,7 @@ MemorySystem::dirHandleCommit(unsigned dir_idx, ProcId committer,
                                      dir_idx, 0);
                          if (l1s[q].listener)
                              l1s[q].listener->onRemoteWSig(*txn->w);
-                         applyBulkInval(q, *txn->w, false);
+                         applyBulkInval(q, *txn->w, nullptr);
                          net.send(q, prm.numProcs + dir_idx,
                                   TrafficClass::Inval, 16,
                                   [txn] {
@@ -622,9 +617,9 @@ MemorySystem::l1State(ProcId p, LineAddr line) const
 
 void
 MemorySystem::l1DiscardSpeculative(ProcId p, const Signature &w,
-                                   const LineSet *spec_lines)
+                                   const LineSet &spec_lines)
 {
-    applyBulkInval(p, w, true, spec_lines);
+    applyBulkInval(p, w, &spec_lines);
 }
 
 void
@@ -723,14 +718,19 @@ MemorySystem::dumpStats(StatGroup &sg, const std::string &prefix) const
     sg.set(prefix + "l1_misses", static_cast<double>(l1Misses()));
     sg.set(prefix + "bounced_reads", static_cast<double>(nBounced));
     sg.set(prefix + "invalidations", static_cast<double>(nInvals));
-    sg.set(prefix + "extra_invals", static_cast<double>(nExtraInvals));
     sg.set(prefix + "writebacks", static_cast<double>(nWritebacks));
     sg.set(prefix + "dir_lookups", static_cast<double>(nDirLookups));
-    sg.set(prefix + "dir_alias_lookups",
-           static_cast<double>(nDirAliasLookups));
     sg.set(prefix + "dir_updates", static_cast<double>(nDirUpdates));
-    sg.set(prefix + "dir_alias_updates",
-           static_cast<double>(nDirAliasUpdates));
+    // The aliasing counts need the signatures' exact mirror; without
+    // it they were not measured, so they are left out, not zero.
+    if (prm.sigCfg.trackExact) {
+        sg.set(prefix + "extra_invals",
+               static_cast<double>(nExtraInvals));
+        sg.set(prefix + "dir_alias_lookups",
+               static_cast<double>(nDirAliasLookups));
+        sg.set(prefix + "dir_alias_updates",
+               static_cast<double>(nDirAliasUpdates));
+    }
     sg.set(prefix + "dir_displacements",
            static_cast<double>(nDirDisplacements));
     sg.set(prefix + "fill_bypasses", static_cast<double>(nFillBypasses));

@@ -177,18 +177,15 @@ class MemorySystem : public SimObject
      * its acknowledgements (the arbiter may then drop W).
      *
      * @param w Shared so in-flight commits keep it alive.
-     * @param inval_nodes_out If non-null, receives the total number of
-     *        processors that were sent W (Table 4 "Nodes per W Sig").
      * @param w_lines The chunk's exact written lines (Chunk::wLines),
      *        used to pick the involved directory modules. Only read
-     *        synchronously, so a stack-local set is fine. When null,
-     *        falls back to the signature's exact mirror (tests), which
-     *        multi-directory configs then require.
+     *        synchronously, so a stack-local set is fine.
+     * @param inval_nodes_out If non-null, receives the total number of
+     *        processors that were sent W (Table 4 "Nodes per W Sig").
      */
     void bulkCommit(ProcId committer, std::shared_ptr<Signature> w,
-                    std::function<void()> done,
-                    unsigned *inval_nodes_out = nullptr,
-                    const LineSet *w_lines = nullptr);
+                    const LineSet &w_lines, std::function<void()> done,
+                    unsigned *inval_nodes_out = nullptr);
 
     /**
      * Discard @p p's speculatively written lines (all lines of its L1
@@ -197,10 +194,9 @@ class MemorySystem : public SimObject
      * @param spec_lines The chunk's truly written lines (the per-line
      *        chunk-id bits): members are dropped without writeback,
      *        aliased victims keep their committed data safe in the L2.
-     *        When null, falls back to @p w's exact mirror.
      */
     void l1DiscardSpeculative(ProcId p, const Signature &w,
-                              const LineSet *spec_lines = nullptr);
+                              const LineSet &spec_lines);
 
     /** Re-insert @p line as dirty in @p p's L1 (Private Buffer restore). */
     void restoreLine(ProcId p, LineAddr line);
@@ -265,12 +261,10 @@ class MemorySystem : public SimObject
     std::uint64_t l1Hits() const;
     std::uint64_t l1Misses() const;
     std::uint64_t bouncedReads() const { return nBounced; }
-    std::uint64_t extraInvalidations() const { return nExtraInvals; }
     std::uint64_t invalidations() const { return nInvals; }
     std::uint64_t writebacks() const { return nWritebacks; }
     std::uint64_t dirLookups() const { return nDirLookups; }
     std::uint64_t dirAliasLookups() const { return nDirAliasLookups; }
-    std::uint64_t dirUpdates() const { return nDirUpdates; }
     std::uint64_t dirAliasUpdates() const { return nDirAliasUpdates; }
     std::uint64_t dirDisplacements() const { return nDirDisplacements; }
     std::uint64_t fillBypasses() const { return nFillBypasses; }
@@ -333,8 +327,11 @@ class MemorySystem : public SimObject
                           unsigned bounces = 0);
     void finishFill(ProcId p, LineAddr line, MemCmd cmd);
     void sendInval(ProcId target, LineAddr line);
-    void applyBulkInval(ProcId p, const Signature &w, bool discard_only,
-                        const LineSet *spec_lines = nullptr);
+    /** Bulk-invalidate @p w's members in @p p's L1: a squash discard
+     *  when @p spec_lines (the chunk's written lines) is given, a
+     *  commit's invalidation otherwise. */
+    void applyBulkInval(ProcId p, const Signature &w,
+                        const LineSet *spec_lines);
     void handleDirDisplacements(
         unsigned dir_idx, const std::vector<DirDisplacement> &disp);
     void dirHandleCommit(unsigned dir_idx, ProcId committer,

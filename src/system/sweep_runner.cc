@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -26,6 +28,58 @@ findProfile(const std::string &name)
             return &p;
     }
     return nullptr;
+}
+
+/** The JSON record of grid point @p idx: its settings, then either
+ *  @p pr's statistics or its error. */
+std::string
+pointRecord(std::size_t idx,
+            const std::vector<std::pair<std::string, std::string>> &set,
+            const SimOptions &o, const PointResult &pr)
+{
+    std::ostringstream os;
+    os << "{\"point\": " << idx;
+    const OptionRegistry &reg = OptionRegistry::instance();
+    os << ", \"settings\": {";
+    bool first_s = true;
+    for (const auto &[name, value] : set) {
+        const OptionDesc *d = reg.find(name);
+        os << (first_s ? "" : ", ") << '"' << jsonEscape(name)
+           << "\": ";
+        first_s = false;
+        if (d && d->kind == OptionDesc::Kind::UInt)
+            os << value;
+        else if (d && d->kind == OptionDesc::Kind::Flag)
+            os << (value == "1" || value == "true" ? "true" : "false");
+        else
+            os << '"' << jsonEscape(value) << '"';
+    }
+    os << '}';
+    if (!pr.error.empty()) {
+        os << ", \"error\": \"" << jsonEscape(pr.error) << "\"}";
+        return os.str();
+    }
+
+    const Results &res = pr.results;
+    os << ", \"model\": \"" << modelName(o.cfg.model) << '"';
+    os << ", \"app\": \"" << jsonEscape(o.app) << '"';
+    os << ", \"procs\": " << o.cfg.numProcs;
+    os << ", \"instrs\": " << o.instrs;
+    os << ", \"seed_salt\": " << o.seedSalt;
+    if (!o.cfg.faults.empty())
+        os << ", \"fault_seed\": " << o.cfg.faultSeed;
+    os << ", \"completed\": " << (res.completed ? "true" : "false");
+    os << ", \"watchdog\": \""
+       << watchdogVerdictName(res.watchdogVerdict) << '"';
+    os << ", \"stats\": {";
+    bool first = true;
+    for (const auto &[k, v] : res.stats.entries()) {
+        os << (first ? "" : ", ") << '"' << jsonEscape(k)
+           << "\": " << jsonNumber(v);
+        first = false;
+    }
+    os << "}}";
+    return os.str();
 }
 
 } // namespace
@@ -108,136 +162,125 @@ SweepRunner::validateGrid(std::string &err) const
     return true;
 }
 
-std::string
-SweepRunner::runPoint(std::size_t idx, bool &ok) const
-{
-    std::ostringstream os;
-    os << "{\"point\": " << idx;
-    SimOptions o;
-    std::string err;
-    const OptionRegistry &reg = OptionRegistry::instance();
-    os << ", \"settings\": {";
-    bool first_s = true;
-    for (const auto &[name, value] : pointSettings(idx)) {
-        const OptionDesc *d = reg.find(name);
-        os << (first_s ? "" : ", ") << '"' << jsonEscape(name)
-           << "\": ";
-        first_s = false;
-        if (d && d->kind == OptionDesc::Kind::UInt)
-            os << value;
-        else if (d && d->kind == OptionDesc::Kind::Flag)
-            os << (value == "1" || value == "true" ? "true" : "false");
-        else
-            os << '"' << jsonEscape(value) << '"';
-    }
-    os << '}';
-    if (!pointOptions(idx, o, err) || !o.cfg.validate(err)) {
-        os << ", \"error\": \"" << jsonEscape(err) << "\"}";
-        ok = false;
-        return os.str();
-    }
-    const AppProfile *app = findProfile(o.app);
-    if (!app) {
-        os << ", \"error\": \"unknown app '" << jsonEscape(o.app)
-           << "'\"}";
-        ok = false;
-        return os.str();
-    }
-
-    std::vector<Trace> traces = generateTraces(
-        *app, o.cfg.numProcs, o.instrs, o.seedSalt);
-    System sys(o.cfg, std::move(traces));
-    Results res = sys.run();
-
-    os << ", \"model\": \"" << modelName(o.cfg.model) << '"';
-    os << ", \"app\": \"" << jsonEscape(o.app) << '"';
-    os << ", \"procs\": " << o.cfg.numProcs;
-    os << ", \"instrs\": " << o.instrs;
-    os << ", \"seed_salt\": " << o.seedSalt;
-    if (!o.cfg.faults.empty())
-        os << ", \"fault_seed\": " << o.cfg.faultSeed;
-    os << ", \"completed\": " << (res.completed ? "true" : "false");
-    os << ", \"watchdog\": \""
-       << watchdogVerdictName(res.watchdogVerdict) << '"';
-    os << ", \"stats\": {";
-    bool first = true;
-    for (const auto &[k, v] : res.stats.entries()) {
-        os << (first ? "" : ", ") << '"' << jsonEscape(k)
-           << "\": " << jsonNumber(v);
-        first = false;
-    }
-    os << "}}";
-    ok = res.completed &&
-         res.watchdogVerdict == WatchdogVerdict::None;
-    return os.str();
-}
-
 std::size_t
 SweepRunner::run(unsigned workers, std::FILE *out, bool progress)
 {
-    if (workers == 0)
-        workers = 1;
-    workers = static_cast<unsigned>(
-        std::min<std::size_t>(workers, std::max<std::size_t>(
-                                           nPoints, 1)));
+    // Resolve every point first. A point whose settings do not apply
+    // gets an error record in its place; the rest go to the executor.
+    std::vector<SimOptions> points;
+    std::vector<std::size_t> gridIdx; // grid index of points[k]
+    std::vector<std::string> unresolved(nPoints);
+    for (std::size_t i = 0; i < nPoints; ++i) {
+        SimOptions o;
+        if (pointOptions(i, o, unresolved[i])) {
+            points.push_back(std::move(o));
+            gridIdx.push_back(i);
+        }
+    }
+
+    std::size_t emitted = 0;
+    std::size_t failed = 0;
+    auto emit = [&](const std::string &rec, bool ok) {
+        std::fprintf(out, "%s\n", rec.c_str());
+        std::fflush(out);
+        failed += ok ? 0 : 1;
+        ++emitted;
+        if (progress)
+            std::fprintf(stderr, "\r%zu/%zu points", emitted, nPoints);
+    };
+    // Error records of the unresolved points before grid index @p end.
+    auto emitUnresolved = [&](std::size_t end) {
+        while (emitted < end) {
+            PointResult pr;
+            pr.error = unresolved[emitted];
+            emit(pointRecord(emitted, pointSettings(emitted), base, pr),
+                 false);
+        }
+    };
+
+    runPoints(points, workers, [&](std::size_t k, PointResult &pr) {
+        std::size_t idx = gridIdx[k];
+        emitUnresolved(idx);
+        const Results &res = pr.results;
+        emit(pointRecord(idx, pointSettings(idx), points[k], pr),
+             pr.error.empty() && res.completed &&
+                 res.watchdogVerdict == WatchdogVerdict::None);
+    });
+    emitUnresolved(nPoints);
+    if (progress)
+        std::fprintf(stderr, "\n");
+    return failed;
+}
+
+PointResult
+simulatePoint(const SimOptions &o)
+{
+    PointResult pr;
+    if (!o.cfg.validate(pr.error))
+        return pr;
+    const AppProfile *app = findProfile(o.app);
+    if (!app) {
+        pr.error = "unknown app '" + o.app + "'";
+        return pr;
+    }
+    std::vector<Trace> traces = generateTraces(
+        *app, o.cfg.numProcs, o.instrs, o.seedSalt);
+    System sys(o.cfg, std::move(traces));
+    pr.results = sys.run();
+    return pr;
+}
+
+void
+runPoints(const std::vector<SimOptions> &points, unsigned workers,
+          const std::function<void(std::size_t, PointResult &)> &deliver)
+{
+    const std::size_t n = points.size();
+    workers = static_cast<unsigned>(std::clamp<std::size_t>(
+        workers, 1, std::max<std::size_t>(n, 1)));
 
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> failed{0};
-
     std::mutex mtx;
     std::condition_variable cv;
-    std::map<std::size_t, std::string> ready;
+    std::map<std::size_t, PointResult> ready;
 
     auto worker = [&] {
         while (true) {
             std::size_t idx = next.fetch_add(1);
-            if (idx >= nPoints)
+            if (idx >= n)
                 return;
-            bool ok = true;
-            std::string rec = runPoint(idx, ok);
-            if (!ok)
-                failed.fetch_add(1);
+            PointResult pr;
+            try {
+                pr = simulatePoint(points[idx]);
+            } catch (const std::exception &e) {
+                pr.error = e.what();
+            }
             {
                 std::lock_guard<std::mutex> lk(mtx);
-                ready.emplace(idx, std::move(rec));
+                ready.emplace(idx, std::move(pr));
             }
             cv.notify_one();
         }
     };
 
-    std::vector<std::thread> pool;
+    // Joined on destruction, also if deliver throws.
+    std::vector<std::jthread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
         pool.emplace_back(worker);
 
-    // Stream records strictly in point order: emit a record as soon as
-    // it and every predecessor are available.
-    std::size_t emitted = 0;
-    {
-        std::unique_lock<std::mutex> lk(mtx);
-        while (emitted < nPoints) {
-            cv.wait(lk, [&] { return ready.count(emitted) != 0; });
-            while (true) {
-                auto it = ready.find(emitted);
-                if (it == ready.end())
-                    break;
-                std::fprintf(out, "%s\n", it->second.c_str());
-                ready.erase(it);
-                ++emitted;
-                if (progress) {
-                    std::fprintf(stderr, "\r%zu/%zu points", emitted,
-                                 nPoints);
-                }
-            }
-            std::fflush(out);
+    // Deliver strictly in point order, outside the lock, as soon as a
+    // point and every predecessor are available.
+    for (std::size_t done = 0; done < n; ++done) {
+        PointResult pr;
+        {
+            std::unique_lock<std::mutex> lk(mtx);
+            cv.wait(lk, [&] { return ready.count(done) != 0; });
+            auto it = ready.find(done);
+            pr = std::move(it->second);
+            ready.erase(it);
         }
+        deliver(done, pr);
     }
-    if (progress)
-        std::fprintf(stderr, "\n");
-
-    for (std::thread &t : pool)
-        t.join();
-    return failed.load();
 }
 
 } // namespace bulksc

@@ -1,8 +1,11 @@
 /**
  * @file
- * Parameter-sweep runner: executes one fully-isolated simulator
- * instance per grid point on a pool of worker threads and streams one
- * JSONL record per point, in point order, independent of worker count.
+ * The executor of simulation points, and the parameter-sweep runner
+ * built on it. The executor runs one fully-isolated simulator instance
+ * per point on a pool of worker threads and hands the results back in
+ * point order, independent of worker count. The sweep runner expands
+ * a cross-product grid into points and streams one JSONL record per
+ * point; the paper's evaluation driver is the executor's other user.
  *
  * Isolation is structural: a point's System owns its EventQueue,
  * MemorySystem, processors, and statistics, so workers share nothing
@@ -20,12 +23,38 @@
 #define BULKSC_SYSTEM_SWEEP_RUNNER_HH
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "system/sim_options.hh"
+#include "system/system.hh"
 
 namespace bulksc {
+
+/** What one simulation point produced. */
+struct PointResult
+{
+    std::string error; //!< why the point could not run ("" = it ran)
+    Results results;   //!< the run's results (valid when error is "")
+};
+
+/**
+ * Simulate one fully resolved point: check its configuration and app,
+ * generate its traces from (app, procs, instrs, seed salt), and run an
+ * isolated System on them.
+ */
+PointResult simulatePoint(const SimOptions &o);
+
+/**
+ * Simulate @p points on @p workers threads. @p deliver receives each
+ * finished point on the calling thread, in point order, as soon as it
+ * and all its predecessors are done, so what it sees does not depend
+ * on the worker count.
+ */
+void runPoints(const std::vector<SimOptions> &points, unsigned workers,
+               const std::function<void(std::size_t, PointResult &)>
+                   &deliver);
 
 /** One sweep dimension: an option name and the values it takes. */
 struct SweepAxis
@@ -85,8 +114,6 @@ class SweepRunner
                       std::string &err) const;
 
   private:
-    std::string runPoint(std::size_t idx, bool &ok) const;
-
     SimOptions base;
     std::vector<SweepAxis> axes;
     std::size_t nPoints;

@@ -319,13 +319,18 @@ System::collectStats(Results &res) const
            static_cast<double>(agg.deniedCommits));
     sg.set("bulk.aborted_grants",
            static_cast<double>(agg.abortedGrants));
-    sg.set("bulk.avg_read_set", commits ? agg.rSizeSum / commits : 0.0);
+    // Read-set sizes and read displacements are counted on the
+    // signatures' exact mirror; without it they were not measured.
+    if (cfg.bulk.sigCfg.trackExact) {
+        sg.set("bulk.avg_read_set",
+               commits ? agg.rSizeSum / commits : 0.0);
+        sg.set("bulk.spec_read_displacements",
+               static_cast<double>(agg.specReadDisplacements));
+    }
     sg.set("bulk.avg_write_set",
            commits ? agg.wSizeSum / commits : 0.0);
     sg.set("bulk.avg_priv_write_set",
            commits ? agg.wprivSizeSum / commits : 0.0);
-    sg.set("bulk.spec_read_displacements",
-           static_cast<double>(agg.specReadDisplacements));
     sg.set("bulk.spec_write_displacements",
            static_cast<double>(agg.specWriteDisplacements));
     sg.set("bulk.priv_buffer_supplies",
@@ -386,6 +391,9 @@ System::collectStats(Results &res) const
         sg.set("arb.pre_arbitrations",
                static_cast<double>(as.preArbitrations));
         occ.occupancy().dumpInto(sg, "arb.commit_occupancy.");
+        if (cfg.numArbiters > 1)
+            sg.set("arb.multi_range_commits",
+                   static_cast<double>(arb->multiRangeCommits()));
         if (faults.active()) {
             sg.set("arb.dup_requests",
                    static_cast<double>(cs.dupRequests));

@@ -116,7 +116,6 @@ class System
     Network &network() { return *net; }
     ReliableChannel &channel() { return *chan; }
     Arbiter *arbiter() { return arb.get(); }
-    FaultPlane &faultPlane() { return faults; }
     const Watchdog *watchdog() const { return dog.get(); }
     ProcessorBase &processor(unsigned i) { return *procs.at(i); }
     const MachineConfig &config() const { return cfg; }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "system/system.hh"
 #include "workload/generator.hh"
 
@@ -110,6 +113,11 @@ TEST(SystemIntegration, DistributedArbiterWorks)
     // Performance stays in the same ballpark as the single arbiter.
     Results single = runApp(Model::BSCdypvt, "ocean");
     EXPECT_LT(r.execTime, single.execTime * 3 / 2);
+    // Multi-range commits are counted only where they can happen.
+    EXPECT_GT(r.stats.get("arb.multi_range_commits"), 0.0);
+    EXPECT_LE(r.stats.get("arb.multi_range_commits"),
+              r.stats.get("arb.requests"));
+    EXPECT_FALSE(single.stats.has("arb.multi_range_commits"));
 }
 
 TEST(SystemIntegration, EveryGrantedWIsReleased)
@@ -160,6 +168,35 @@ TEST(SystemIntegration, ExactMirrorIsTimingInvisible)
                      b.stats.get("bulk.commits"));
     EXPECT_DOUBLE_EQ(a.stats.get("cpu.squashes"),
                      b.stats.get("cpu.squashes"));
+}
+
+TEST(SystemIntegration, MirrorOffOmitsUnmeasuredKeys)
+{
+    // Without the exact mirror the aliasing and read-set statistics
+    // are not measured: they are left out instead of reading 0, and
+    // every other key stays.
+    MachineConfig on;
+    on.bulk.sigCfg.trackExact = true;
+    MachineConfig off;
+    off.bulk.sigCfg.trackExact = false;
+    Results a = runApp(Model::BSCdypvt, "ocean", 4, &on);
+    Results b = runApp(Model::BSCdypvt, "ocean", 4, &off);
+    std::set<std::string> only_on, only_off;
+    for (const auto &[k, v] : a.stats.entries()) {
+        if (!b.stats.has(k))
+            only_on.insert(k);
+    }
+    for (const auto &[k, v] : b.stats.entries()) {
+        if (!a.stats.has(k))
+            only_off.insert(k);
+    }
+    EXPECT_EQ(only_on, (std::set<std::string>{
+                           "bulk.avg_read_set",
+                           "bulk.spec_read_displacements",
+                           "mem.dir_alias_lookups",
+                           "mem.dir_alias_updates", "mem.extra_invals"}));
+    EXPECT_TRUE(only_off.empty());
+    EXPECT_GT(a.stats.get("bulk.avg_read_set"), 0.0);
 }
 
 TEST(SystemIntegration, DeterministicAcrossRuns)

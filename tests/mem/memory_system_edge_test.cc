@@ -177,8 +177,10 @@ TEST(MemorySystemEdge, BouncedReadEventuallyCompletes)
     h.mem.markDirty(0, lineOf(0x6000));
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0x6000));
+    LineSet lines;
+    lines.insert(lineOf(0x6000));
     bool commit_done = false, read_done = false;
-    h.mem.bulkCommit(0, w, [&] { commit_done = true; });
+    h.mem.bulkCommit(0, w, lines, [&] { commit_done = true; });
     h.eq.schedule(h.eq.now() + 9, [&] {
         h.mem.access(2, 0x6000, MemCmd::Read, [&] { read_done = true; });
     });

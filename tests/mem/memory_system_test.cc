@@ -234,9 +234,11 @@ TEST(MemorySystem, BulkCommitForwardsWToSharers)
 
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0x9000));
+    LineSet lines;
+    lines.insert(lineOf(0x9000));
     bool done = false;
     unsigned nodes = 0;
-    h.mem.bulkCommit(0, w, [&] { done = true; }, &nodes);
+    h.mem.bulkCommit(0, w, lines, [&] { done = true; }, &nodes);
     h.eq.run();
 
     EXPECT_TRUE(done);
@@ -251,7 +253,7 @@ TEST(MemorySystem, EmptyWCommitCompletesImmediately)
 {
     Harness h;
     bool done = false;
-    h.mem.bulkCommit(0, std::make_shared<Signature>(),
+    h.mem.bulkCommit(0, std::make_shared<Signature>(), LineSet{},
                      [&] { done = true; });
     EXPECT_TRUE(done);
 }
@@ -268,7 +270,9 @@ TEST(MemorySystem, ReadsBouncedDuringCommit)
 
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0xA000));
-    h.mem.bulkCommit(0, w, [] {});
+    LineSet lines;
+    lines.insert(lineOf(0xA000));
+    h.mem.bulkCommit(0, w, lines, [] {});
     // Issue a read timed to land at the directory while the commit's
     // W is registered there: it must be bounced at least once.
     h.eq.schedule(h.eq.now() + 10, [&] {
@@ -290,7 +294,9 @@ TEST(MemorySystem, DiscardSpeculativeDropsOnlyMembers)
 
     Signature w;
     w.insert(lineOf(0xB000));
-    h.mem.l1DiscardSpeculative(0, w);
+    LineSet lines;
+    lines.insert(lineOf(0xB000));
+    h.mem.l1DiscardSpeculative(0, w, lines);
     EXPECT_FALSE(h.mem.l1Contains(0, lineOf(0xB000)));
     EXPECT_TRUE(h.mem.l1Contains(0, lineOf(0xB040)));
 }
@@ -349,10 +355,12 @@ TEST(MemorySystem, RacingFillDoesNotResurrectInvalidatedLine)
 
     auto w = std::make_shared<Signature>();
     w->insert(lineOf(0xF100));
+    LineSet lines;
+    lines.insert(lineOf(0xF100));
 
     // Issue the read and the commit into the same race window.
     h.mem.access(1, 0xF100, MemCmd::Read, nullptr);
-    h.mem.bulkCommit(0, w, [] {});
+    h.mem.bulkCommit(0, w, lines, [] {});
     h.eq.run();
 
     // Invariant: any cached copy must be visible to the directory.

@@ -1,8 +1,10 @@
 /**
  * @file
- * Unit tests for the parameter-sweep runner: grid enumeration,
- * validation, per-point seed derivation, and the byte-identical
- * output guarantee across worker counts.
+ * Unit tests for the point executor and the parameter-sweep runner:
+ * executor results equal to direct System runs, in point order for any
+ * worker count; grid enumeration, validation, per-point seed
+ * derivation, and the byte-identical output guarantee across worker
+ * counts.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include "system/sweep_runner.hh"
+#include "workload/app_profiles.hh"
+#include "workload/generator.hh"
 
 namespace bulksc {
 namespace {
@@ -138,6 +142,94 @@ TEST(SweepRunner, FailedPointEmitsErrorRecordAndCounts)
     EXPECT_EQ(failed, 1u);
     EXPECT_NE(out.find("\"error\""), std::string::npos) << out;
     EXPECT_NE(out.find("nosuchapp"), std::string::npos) << out;
+}
+
+/**
+ * One point of each table of the paper's evaluation, short: each sets
+ * what its table varies on top of the tools' defaults.
+ */
+std::vector<SimOptions>
+evaluationPoints()
+{
+    std::vector<SimOptions> pts;
+    auto point = [&](const char *app, Model m) -> SimOptions & {
+        SimOptions o;
+        o.app = app;
+        o.instrs = 3'000;
+        o.cfg.model = m;
+        pts.push_back(o);
+        return pts.back();
+    };
+    point("ocean", Model::SC); // Figure 9
+    point("lu", Model::BSCdypvt).cfg.bulk.chunkSize = 1000; // Figure 10
+    point("radix", Model::BSCexact); // Table 3
+    point("barnes", Model::BSCdypvt); // Table 4
+    point("cholesky", Model::RC); // Figure 11
+    point("fft", Model::BSCdypvt).cfg.bulk.rsigOpt = false; // RSig
+    SimOptions &arb = point("ocean", Model::BSCdypvt); // arbiter
+    arb.cfg.numArbiters = 4;
+    arb.cfg.mem.numDirectories = 4;
+    SimOptions &sig = point("sjbb2k", Model::BSCdypvt); // signature
+    sig.cfg.bulk.sigCfg.totalBits = 512;
+    sig.cfg.bulk.sigCfg.numBanks = 2;
+    point("barnes", Model::BSCdypvt).cfg.numProcs = 16; // scalability
+    point("sweb2005", Model::BSCdypvt).cfg.mem.dirCacheEntries = 4096;
+    point("water-sp", Model::BSCdypvt).cfg.bulk.maxLiveChunks = 1;
+    point("raytrace", Model::BSCdypvt).cfg.bulk.endChunkOnSync = true;
+    return pts;
+}
+
+/** Everything a point delivers, in delivery order. */
+std::vector<std::pair<std::size_t, Results>>
+deliverAll(const std::vector<SimOptions> &pts, unsigned workers)
+{
+    std::vector<std::pair<std::size_t, Results>> out;
+    runPoints(pts, workers, [&](std::size_t idx, PointResult &pr) {
+        EXPECT_EQ(pr.error, "") << "point " << idx;
+        out.emplace_back(idx, std::move(pr.results));
+    });
+    return out;
+}
+
+TEST(PointExecutor, ResultsEqualDirectSystemRuns)
+{
+    const std::vector<SimOptions> pts = evaluationPoints();
+    auto got = deliverAll(pts, 4);
+    ASSERT_EQ(got.size(), pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        const SimOptions &o = pts[i];
+        System sys(o.cfg, generateTraces(profileByName(o.app),
+                                         o.cfg.numProcs, o.instrs,
+                                         o.seedSalt));
+        Results want = sys.run();
+        const Results &r = got[i].second;
+        EXPECT_EQ(got[i].first, i);
+        EXPECT_TRUE(r.completed) << "point " << i;
+        EXPECT_EQ(r.execTime, want.execTime) << "point " << i;
+        EXPECT_EQ(r.stats.entries(), want.stats.entries())
+            << "point " << i;
+    }
+    // The 4-arbiter and the 16-processor points really ran as such.
+    EXPECT_TRUE(got[6].second.stats.has("arb.multi_range_commits"));
+    EXPECT_EQ(got[8].second.loadResults.size(), 16u);
+}
+
+TEST(PointExecutor, DeliveryIsInPointOrderForAnyWorkerCount)
+{
+    const std::vector<SimOptions> pts = evaluationPoints();
+    auto serial = deliverAll(pts, 1);
+    auto parallel = deliverAll(pts, 4);
+    ASSERT_EQ(serial.size(), pts.size());
+    ASSERT_EQ(parallel.size(), pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        EXPECT_EQ(serial[i].first, i);
+        EXPECT_EQ(parallel[i].first, i);
+        EXPECT_EQ(serial[i].second.execTime, parallel[i].second.execTime)
+            << "point " << i;
+        EXPECT_EQ(serial[i].second.stats.entries(),
+                  parallel[i].second.stats.entries())
+            << "point " << i;
+    }
 }
 
 } // namespace
